@@ -7,6 +7,7 @@ identification, and a reproducible Monte Carlo sign-recovery study.
 """
 
 from .errors import (
+    ConvergenceError,
     DimensionError,
     DomainError,
     ExplosionError,

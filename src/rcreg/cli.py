@@ -167,6 +167,7 @@ def _read_dataset_csv(path: str) -> Dataset:
                 f"{path}: header must be 'y,w1,...,w{{p-1}}', got {','.join(header)!r}"
             )
         rows = []
+        line_nos = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -176,46 +177,55 @@ def _read_dataset_csv(path: str) -> Dataset:
                     f"expected {len(header)}"
                 )
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError:
                 raise RcregError(
                     f"{path}: malformed numeric value at line {line_no}"
                 ) from None
+            rows.append(values)
+            line_nos.append(line_no)
     if not rows:
         raise RcregError(f"{path}: no data rows")
     arr = np.asarray(rows)
+    bad = np.flatnonzero(~np.all(np.isfinite(arr), axis=1))
+    if bad.size:
+        raise RcregError(f"{path}: non-finite value at line {line_nos[bad[0]]}")
     return Dataset.from_covariates(arr[:, 1:], arr[:, 0])
 
 
-def _auto_lambda_fit(data: Dataset) -> float:
-    """Pick a penalty by BIC along the warm-started path (data-only heuristic)."""
+def _fit_path(data: Dataset, pick: bool):
+    """Exact second-stage path on a 50-point grid below lmax, and its BIC pick.
+
+    BIC (a data-only heuristic) is evaluated only when ``pick``.  The second
+    stage is freed on return, before the fit builds its own copy.
+    """
     mu_hat = ols(data.Y, data.X)
     stage2 = build_second_stage(data, mu_hat)
     init = ols(stage2.ysig, stage2.xsig)
     mask = np.ones(half_dim(data.p), dtype=bool)
     mask[0] = False
     lmax = lambda_max(stage2.ysig, stage2.xsig, init, mask)
-    if lmax <= 0.0:
-        return 0.0
-    grid = np.geomspace(lmax, lmax * 1e-4, 50)
+    grid = np.geomspace(lmax, lmax * 1e-4, 50) if lmax > 0 else np.zeros(1)
     sols = lambda_path(
         stage2.ysig, stage2.xsig, AdaLassoConfig(lam=0.0, init=init, penalize_mask=mask), grid
     )
-    n = data.n
-    best_lam, best_bic = float(grid[0]), math.inf
-    for lam, sol in zip(grid, sols):
+    n, best_lam, best_bic = data.n, float(grid[0]), math.inf
+    for lam, sol in zip(grid, sols if pick else []):
         rss = float(np.sum((stage2.ysig - stage2.xsig @ sol.beta) ** 2))
         bic = n * math.log(max(rss, 1e-300) / n) + math.log(n) * sol.active_set.size
         if bic < best_bic:
             best_lam, best_bic = float(lam), bic
-    return best_lam
+    return grid, sols, best_lam
 
 
 def _cmd_fit(args) -> int:
     data = _read_dataset_csv(args.data)
     if args.lam is not None and args.auto:
         raise _UsageError("rcreg fit: --lambda and --auto are mutually exclusive")
-    lam = args.lam if args.lam is not None else _auto_lambda_fit(data)
+    lam = args.lam
+    if lam is None or args.path_csv:
+        grid, sols, best_lam = _fit_path(data, pick=lam is None)
+        lam = best_lam if lam is None else lam
     fit = fit_moments(
         data, lam, penalize_intercept_variance=args.penalize_intercept_variance
     )
@@ -228,25 +238,15 @@ def _cmd_fit(args) -> int:
         "lambda_used": fit.lambda_used,
     }
     if args.path_csv:
-        _write_path_csv(args.path_csv, data, fit)
+        _write_path_csv(args.path_csv, data.p, grid, sols)
     _emit(dump_json(payload), args.out)
     return 0
 
 
-def _write_path_csv(path: str, data: Dataset, fit) -> None:
-    mu_hat = ols(data.Y, data.X)
-    stage2 = build_second_stage(data, mu_hat)
-    init = fit.sigma_init
-    mask = np.ones(half_dim(data.p), dtype=bool)
-    mask[0] = False
-    lmax = lambda_max(stage2.ysig, stage2.xsig, init, mask)
-    grid = np.geomspace(lmax, lmax * 1e-4, 50) if lmax > 0 else np.zeros(1)
-    sols = lambda_path(
-        stage2.ysig, stage2.xsig, AdaLassoConfig(lam=0.0, init=init, penalize_mask=mask), grid
-    )
+def _write_path_csv(path: str, p: int, grid, sols) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        d = half_dim(data.p)
+        d = half_dim(p)
         writer.writerow(["lambda", "n_active", "kkt_residual"] + [f"beta_{k}" for k in range(d)])
         for lam, sol in zip(grid, sols):
             writer.writerow(

@@ -47,7 +47,11 @@ class SingularGramError(RcregError):
 class WitnessContradictionError(RcregError):
     """The closed-form certificate and the solver disagree.
 
-    Raised when both certificate conditions hold but the coordinate
-    descent solution does not match the closed-form one; indicates a
-    solver defect, not bad user input.
+    Raised when both certificate conditions hold but the solver's
+    solution does not match the closed-form one; indicates a solver
+    defect, not bad user input.
     """
+
+
+class ConvergenceError(RcregError):
+    """The solver stopped short of its penalty level or KKT tolerance."""

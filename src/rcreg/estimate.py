@@ -13,6 +13,10 @@ being
 Coordinates whose initial estimate is exactly zero are excluded from the
 optimization and fixed at zero; unpenalized coordinates (the intercept
 variance by default) ignore their initial estimate entirely.
+
+The solver follows the exact piecewise-linear solution path in Gram form
+(X'X/n, X'y/n): one walk serves a whole grid of levels, and a single level
+is the same walk stopped early.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     DimensionError,
     DomainError,
     SingularDesignError,
@@ -71,6 +76,8 @@ class Dataset:
             )
         if X.shape[0] < X.shape[1]:
             raise DimensionError(f"need n >= p, got n={X.shape[0]}, p={X.shape[1]}")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
+            raise DomainError("X and Y must be finite (no NaN or infinity)")
         if not np.all(X[:, 0] == 1.0):
             raise DomainError("first column of X must be identically one")
         object.__setattr__(self, "X", X)
@@ -107,9 +114,10 @@ class AdaLassoConfig:
     """Weighted-l1 solver configuration.
 
     ``penalize_mask`` entries set to False mark unpenalized coordinates;
-    None penalizes everything.  ``tol`` bounds both the largest coordinate
-    change per sweep and the KKT residual at convergence; ``max_iter``
-    counts full sweeps.
+    None penalizes everything.  A solution counts as converged when the
+    solver reached ``lam`` and its KKT residual (Gram form) is at most
+    ``tol``; ``max_iter`` bounds the breakpoints of one walk down the
+    solution path.
     """
 
     lam: float
@@ -121,6 +129,8 @@ class AdaLassoConfig:
 
 @dataclass
 class LassoSolution:
+    """Solver output; ``iterations`` counts breakpoints passed since the previous level."""
+
     beta: np.ndarray
     active_set: np.ndarray
     kkt_residual: float
@@ -198,8 +208,13 @@ def build_second_stage(data: Dataset, mu_hat) -> SecondStageDesign:
 
 
 def _resolve_config(cfg: AdaLassoConfig, d: int):
+    """``(lam, scale, excluded)``; coordinate k's threshold at lam is ``lam / scale[k]``.
+
+    ``scale`` is |init| where penalized and infinite where not; excluded
+    coordinates (penalized, zero initial estimate) are fixed at zero.
+    """
     lam = float(cfg.lam)
-    if lam < 0:
+    if not lam >= 0.0:
         raise DomainError(f"lambda must be nonnegative, got {lam}")
     if cfg.tol <= 0:
         raise DomainError(f"tol must be positive, got {cfg.tol}")
@@ -215,27 +230,31 @@ def _resolve_config(cfg: AdaLassoConfig, d: int):
                 f"penalize_mask must have length {d}, got {penalized.shape[0]}"
             )
     excluded = penalized & (init == 0.0)
-    # Threshold lam/|init| per penalized coordinate; excluded ones are fixed at 0.
-    thr = np.zeros(d)
-    active_pen = penalized & ~excluded
-    thr[active_pen] = lam / np.abs(init[active_pen])
-    return lam, thr, excluded
+    weighted = penalized & ~excluded
+    scale = np.full(d, np.inf)
+    scale[weighted] = np.abs(init[weighted])
+    return lam, scale, excluded
 
 
-def _kkt_violation(grad, beta, thr, excluded) -> float:
-    """Largest stationarity violation; ``grad`` is the raw gradient 2/n X'(Xb - y)."""
-    worst = 0.0
-    for k in range(beta.shape[0]):
-        if excluded[k]:
-            continue
-        if thr[k] == 0.0:
-            v = abs(grad[k])
-        elif beta[k] != 0.0:
-            v = abs(grad[k] + 2.0 * thr[k] * np.sign(beta[k]))
-        else:
-            v = max(0.0, abs(grad[k]) - 2.0 * thr[k])
-        worst = max(worst, v)
-    return worst
+def _gram(Y, X):
+    """Validated Gram form ``(X'X/n, X'Y/n)`` of the least squares loss."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float).reshape(-1)
+    if X.ndim != 2 or X.shape[0] != Y.shape[0]:
+        raise DimensionError(f"incompatible shapes X {X.shape}, Y {Y.shape} for the lasso solver")
+    n = X.shape[0]
+    G = (X.T @ X) / n
+    b = (X.T @ Y) / n
+    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(b))):
+        raise DomainError("the lasso solver needs finite X and Y")
+    return G, b
+
+
+def _violations(grad, beta, thr, optimized):
+    """Per-coordinate stationarity violation; ``grad`` is 2/n X'(Xb - y)."""
+    weighted = np.where(beta != 0.0, np.abs(grad + 2.0 * thr * np.sign(beta)),
+                        np.maximum(0.0, np.abs(grad) - 2.0 * thr))
+    return np.where(optimized, np.where(thr > 0.0, weighted, np.abs(grad)), 0.0)
 
 
 def kkt_residual(Y, X, beta, cfg: AdaLassoConfig) -> float:
@@ -247,186 +266,177 @@ def kkt_residual(Y, X, beta, cfg: AdaLassoConfig) -> float:
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float).reshape(-1)
     beta = np.asarray(beta, dtype=float).reshape(-1)
-    _, thr, excluded = _resolve_config(cfg, X.shape[1])
+    lam, scale, excluded = _resolve_config(cfg, X.shape[1])
     grad = (2.0 / X.shape[0]) * (X.T @ (X @ beta - Y))
-    return _kkt_violation(grad, beta, thr, excluded)
+    return float(_violations(grad, beta, lam / scale, ~excluded).max(initial=0.0))
 
 
-def _violations(q, b, beta, thr, optimized):
-    """Vectorized per-coordinate stationarity violation at the current iterate."""
-    grad = 2.0 * (q - b)
-    viol = np.zeros(beta.shape[0])
-    pen = thr > 0.0
-    act = beta != 0.0
-    m = optimized & pen & act
-    viol[m] = np.abs(grad[m] + 2.0 * thr[m] * np.sign(beta[m]))
-    m = optimized & pen & ~act
-    viol[m] = np.maximum(0.0, np.abs(grad[m]) - 2.0 * thr[m])
-    m = optimized & ~pen
-    viol[m] = np.abs(grad[m])
-    return viol
+def _solve_active(G, A, rhs):
+    """Solve ``G[A, A] x = rhs``; the rank test ignores column scale."""
+    GAA = G[np.ix_(A, A)]
+    root = np.sqrt(np.diagonal(GAA))
+    if not np.all(root > 0.0) or numeric_rank(GAA / np.outer(root, root)) < A.size:
+        raise SingularGramError("Gram matrix restricted to the active set is numerically singular")
+    return np.linalg.solve(GAA, rhs)
 
 
-def _cd_solve(G, b, yty, thr, excluded, tol, max_iter, beta0=None):
-    """Cyclic coordinate descent on the Gram form of the weighted-l1 objective.
+@dataclass(frozen=True)
+class _Segment:
+    """Stretch of the exact path, down to ``lo``, with a fixed active set.
 
-    Sweeps cycle over a working set (current nonzeros plus stationarity
-    violators); once the working set is stationary, a full KKT screen either
-    certifies convergence or enlarges the set.  One iteration is one sweep.
+    There ``beta[active] = alpha - lam * gamma``, other coordinates are zero
+    and the correlation ``b - G beta`` is ``a + lam * e``.
     """
-    d = b.shape[0]
-    beta = np.zeros(d) if beta0 is None else beta0.copy()
-    beta[excluded] = 0.0
-    optimized = ~excluded
-    diag = np.diagonal(G).copy()
-    q = G @ beta
 
-    def objective():
-        return yty - 2.0 * (b @ beta) + beta @ q + 2.0 * (thr @ np.abs(beta))
+    lo: float
+    active: np.ndarray
+    sign: np.ndarray
+    inactive: np.ndarray  # penalized coordinates outside the active set
+    alpha: np.ndarray
+    gamma: np.ndarray
+    a: np.ndarray
+    e: np.ndarray
 
-    prev_obj = objective()
-    work = np.flatnonzero(
-        optimized & ((beta != 0.0) | (_violations(q, b, beta, thr, optimized) > tol))
-    )
-    sweeps = 0
-    converged = False
-    kkt = np.inf
-    while sweeps < max_iter:
-        sweeps += 1
-        max_delta = 0.0
-        for k in work:
-            c = diag[k]
-            if c <= 0.0:
-                continue
-            rho = b[k] - q[k] + c * beta[k]
-            t = thr[k]
-            if t > 0.0:
-                new = (np.sign(rho) * (abs(rho) - t) / c) if abs(rho) > t else 0.0
-            else:
-                new = rho / c
-            delta = new - beta[k]
-            if delta != 0.0:
-                beta[k] = new
-                q += G[:, k] * delta
-                max_delta = max(max_delta, abs(delta))
-        q = G @ beta  # fresh product kills incremental drift
-        obj = objective()
-        assert obj <= prev_obj + 1e-9 * max(1.0, abs(prev_obj)), (
-            f"objective increased across a sweep: {prev_obj} -> {obj}"
+    def reaches(self, lam: float, scale) -> bool:
+        """Whether this segment holds the solution at ``lam``.
+
+        True down to ``lo``, and wherever the KKT conditions hold exactly
+        (active signs kept, no inactive correlation above its threshold), so
+        a level within round-off of ``lo`` keeps its exact zeros.
+        """
+        if lam >= self.lo:
+            return True
+        k = self.inactive
+        return bool(
+            np.all(self.sign * (self.alpha - lam * self.gamma) >= 0.0)
+            and np.all(np.abs(self.a[k] + lam * self.e[k]) <= lam / scale[k])
         )
-        prev_obj = obj
-        if max_delta < tol:
-            viol = _violations(q, b, beta, thr, optimized)
-            kkt = float(viol.max()) if viol.size else 0.0
-            if kkt <= tol:
-                converged = True
-                break
-            work = np.flatnonzero(optimized & ((beta != 0.0) | (viol > tol)))
-    if not converged:
-        kkt = _kkt_violation(2.0 * (G @ beta - b), beta, thr, excluded)
-    return beta, kkt, sweeps, converged
 
 
-def adaptive_lasso(Y, X, cfg: AdaLassoConfig, beta0=None) -> LassoSolution:
-    """Weighted-l1 least squares by cyclic coordinate descent.
+def _segments(G, b, scale, excluded):
+    """Segments of the exact solution path from lam = inf down to 0.
+
+    Homotopy of Osborne, Presnell and Turlach (2000), the lasso variant of
+    LARS (Efron et al. 2004), in weighted form.  With active set A and signs
+    s fixed, ``G_AA beta_A = b_A - lam w_A s_A`` (w = 1/scale) makes beta_A
+    linear in lam.  The next breakpoint is the largest lower lam at which an
+    inactive correlation reaches ``lam w_k`` (k joins) or an active
+    penalized coordinate reaches zero (k leaves).  A coordinate that just
+    joined cannot leave, nor one that just left rejoin on the same side,
+    within the next segment: that event sits at the segment's top.
+    """
+    w = 1.0 / scale
+    penalized = ~excluded & (w > 0.0)
+    active = ~excluded & ~penalized  # unpenalized coordinates never leave
+    sign = np.zeros(b.shape[0])
+    hi = np.inf
+    joined, left, left_side = -1, -1, 0.0
+    while True:
+        A = np.flatnonzero(active)
+        out = np.flatnonzero(penalized & ~active)
+        coef = _solve_active(G, A, np.stack([b[A], w[A] * sign[A]], axis=1))
+        alpha, gamma = coef[:, 0], coef[:, 1]
+        a = b - G[:, A] @ alpha
+        e = G[:, A] @ gamma
+        ak, ek, wk = a[out], e[out], w[out]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rejoin = np.where(out == left, left_side, 0.0)
+            up = np.where((wk - ek > 0.0) & (rejoin <= 0.0), ak / (wk - ek), -np.inf)
+            down = np.where((wk + ek > 0.0) & (rejoin >= 0.0), -ak / (wk + ek), -np.inf)
+            heading = penalized[A] & (sign[A] * gamma < 0.0) & (A != joined)
+            leave = np.where(heading, alpha / gamma, -np.inf)
+        join = np.maximum(up, down)
+        lam_in, lam_out = join.max(initial=-np.inf), leave.max(initial=-np.inf)
+        lo = min(max(lam_in, lam_out, 0.0), hi)
+        yield _Segment(lo, A, sign[A], out, alpha, gamma, a, e)
+        if lo <= 0.0:
+            return
+        if lam_in >= lam_out:
+            i = int(np.argmax(join))
+            k = out[i]
+            active[k] = True
+            sign[k] = 1.0 if up[i] >= down[i] else -1.0
+            joined, left, left_side = k, -1, 0.0
+        else:
+            k = A[int(np.argmax(leave))]
+            joined, left, left_side = -1, k, sign[k]
+            active[k] = False
+            sign[k] = 0.0
+        hi = lo
+
+
+def _walk(G, b, scale, excluded, grid, tol, max_iter) -> list[LassoSolution]:
+    """Solutions at the descending levels ``grid`` from one walk down the path.
+
+    A level is read off the first segment that reaches it.  After
+    ``max_iter`` breakpoints the walk stops; later levels get the exact
+    solution at the last breakpoint, with ``converged=False``.
+    """
+    segments = _segments(G, b, scale, excluded)
+    seg = next(segments)
+    budget = max_iter
+    solutions = []
+    for lam in grid:
+        lam = float(lam)
+        steps = 0
+        while not (reached := seg.reaches(lam, scale)) and steps < budget:
+            seg = next(segments)
+            steps += 1
+        budget -= steps
+        beta = np.zeros_like(b)
+        beta[seg.active] = seg.alpha - (lam if reached else seg.lo) * seg.gamma
+        grad = 2.0 * (G @ beta - b)
+        kkt = float(_violations(grad, beta, lam / scale, ~excluded).max(initial=0.0))
+        solutions.append(LassoSolution(
+            beta=beta, active_set=np.flatnonzero(beta != 0.0), kkt_residual=kkt,
+            iterations=steps, converged=reached and kkt <= tol, lam=lam,
+        ))
+    return solutions
+
+
+def adaptive_lasso(Y, X, cfg: AdaLassoConfig) -> LassoSolution:
+    """Weighted-l1 least squares at one penalty level, by the exact path.
 
     Minimizes (1/n)||Y - X b||^2 + 2 lam sum_k |b_k| / |cfg.init_k| over the
-    coordinates not excluded by a zero initial estimate.  Hitting
-    ``max_iter`` returns the best iterate with ``converged=False`` rather
-    than raising.
+    coordinates not excluded by a zero initial estimate, walking the path
+    of :func:`lambda_path` from the top down to ``cfg.lam``.  Passing
+    ``cfg.max_iter`` breakpoints first returns the exact solution at the
+    last one with ``converged=False`` rather than raising; a numerically
+    singular active Gram raises :class:`SingularGramError`.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float).reshape(-1)
-    if X.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise DimensionError(
-            f"incompatible shapes X {X.shape}, Y {Y.shape} for the lasso solver"
-        )
-    n = X.shape[0]
-    lam, thr, excluded = _resolve_config(cfg, X.shape[1])
-    G = (X.T @ X) / n
-    b = (X.T @ Y) / n
-    yty = float(Y @ Y) / n
-    beta, kkt, sweeps, converged = _cd_solve(
-        G, b, yty, thr, excluded, cfg.tol, cfg.max_iter, beta0=beta0
-    )
-    return LassoSolution(
-        beta=beta,
-        active_set=np.flatnonzero(beta != 0.0),
-        kkt_residual=kkt,
-        iterations=sweeps,
-        converged=converged,
-        lam=lam,
-    )
+    G, b = _gram(Y, X)
+    lam, scale, excluded = _resolve_config(cfg, G.shape[0])
+    return _walk(G, b, scale, excluded, [lam], cfg.tol, cfg.max_iter)[0]
 
 
 def lambda_max(Y, X, init, penalize_mask=None) -> float:
     """Smallest penalty level at which every penalized coordinate is zero.
 
-    At that solution the unpenalized coordinates take their restricted
-    least squares values, so the threshold is the largest weighted gradient
-    of the penalized coordinates against that restricted residual.
+    It is the first breakpoint of the exact path, computed by the same code,
+    so a :func:`lambda_path` grid that starts at it gives exact zeros there.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float).reshape(-1)
-    _, _, excluded = _resolve_config(
-        AdaLassoConfig(lam=0.0, init=init, penalize_mask=penalize_mask), X.shape[1]
-    )
-    init = np.asarray(init, dtype=float).reshape(-1)
-    if penalize_mask is None:
-        penalized = np.ones(X.shape[1], dtype=bool)
-    else:
-        penalized = np.asarray(penalize_mask, dtype=bool).reshape(-1)
-    free = ~penalized
-    if free.any():
-        coef, *_ = np.linalg.lstsq(X[:, free], Y, rcond=None)
-        resid = Y - X[:, free] @ coef
-    else:
-        resid = Y
-    scored = penalized & ~excluded
-    if not scored.any():
-        return 0.0
-    grads = np.abs(X[:, scored].T @ resid) / X.shape[0]
-    return float(np.max(np.abs(init[scored]) * grads))
+    G, b = _gram(Y, X)
+    cfg = AdaLassoConfig(lam=0.0, init=init, penalize_mask=penalize_mask)
+    _, scale, excluded = _resolve_config(cfg, G.shape[0])
+    return float(next(_segments(G, b, scale, excluded)).lo)
 
 
 def lambda_path(Y, X, cfg: AdaLassoConfig, grid) -> list[LassoSolution]:
-    """Warm-started solutions along a descending grid of penalty levels."""
+    """Exact solutions along a descending grid of penalty levels.
+
+    One walk down the exact path serves the whole grid; ``cfg.lam`` is
+    ignored and ``cfg.max_iter`` bounds the walk's breakpoints.
+    """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if grid.size == 0:
         raise DimensionError("lambda grid must be nonempty")
     if np.any(np.diff(grid) > 0):
         raise DomainError("lambda grid must be sorted in descending order")
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float).reshape(-1)
-    n = X.shape[0]
-    G = (X.T @ X) / n
-    b = (X.T @ Y) / n
-    yty = float(Y @ Y) / n
-    solutions = []
-    warm = None
-    for lam in grid:
-        _, thr, excluded = _resolve_config(
-            AdaLassoConfig(
-                lam=lam, init=cfg.init, penalize_mask=cfg.penalize_mask,
-                tol=cfg.tol, max_iter=cfg.max_iter,
-            ),
-            X.shape[1],
-        )
-        beta, kkt, sweeps, converged = _cd_solve(
-            G, b, yty, thr, excluded, cfg.tol, cfg.max_iter, beta0=warm
-        )
-        warm = beta
-        solutions.append(
-            LassoSolution(
-                beta=beta,
-                active_set=np.flatnonzero(beta != 0.0),
-                kkt_residual=kkt,
-                iterations=sweeps,
-                converged=converged,
-                lam=float(lam),
-            )
-        )
-    return solutions
+    if not grid[-1] >= 0.0:
+        raise DomainError(f"lambda must be nonnegative, got {grid[-1]}")
+    G, b = _gram(Y, X)
+    _, scale, excluded = _resolve_config(cfg, G.shape[0])
+    return _walk(G, b, scale, excluded, grid, cfg.tol, cfg.max_iter)
 
 
 def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> WitnessReport:
@@ -525,7 +535,8 @@ def fit_moments(
     The intercept-variance coordinate (position 0 of the half-vector) is
     left unpenalized unless requested otherwise: the intercept coefficient
     soaks up any additive error term, so shrinking its variance to zero is
-    rarely wanted.
+    rarely wanted.  Raises :class:`ConvergenceError` if the solver stops
+    short of ``lambda_sigma`` or of ``tol``.
     """
     d = half_dim(data.p)
     if data.n < d:
@@ -538,16 +549,13 @@ def fit_moments(
     stage2 = build_second_stage(data, mu_hat)
     sigma_init = ols(stage2.ysig, stage2.xsig)
     mask = np.ones(d, dtype=bool)
-    if not penalize_intercept_variance:
-        mask[0] = False
-    sol = adaptive_lasso(
-        stage2.ysig,
-        stage2.xsig,
-        AdaLassoConfig(
-            lam=lambda_sigma, init=sigma_init, penalize_mask=mask,
-            tol=tol, max_iter=max_iter,
-        ),
-    )
+    mask[0] = penalize_intercept_variance
+    cfg = AdaLassoConfig(lam=lambda_sigma, init=sigma_init, penalize_mask=mask,
+                         tol=tol, max_iter=max_iter)
+    sol = adaptive_lasso(stage2.ysig, stage2.xsig, cfg)
+    if not sol.converged:
+        raise ConvergenceError(f"adaptive lasso did not converge at lambda={sol.lam:.6g} (max_iter="
+                               f"{max_iter}, KKT residual {sol.kkt_residual:.3g}, tol {tol:.3g})")
     Sigma_hat = unvec_half(sol.beta, data.p)
     return MomentFit(
         mu_hat=mu_hat,

@@ -236,22 +236,18 @@ def _pilot_path_pieces(cfg: SimConfig, index: int):
     return stage2, init, mask
 
 
+def _path_hits(cfg: SimConfig, pieces, grid, target: int) -> np.ndarray:
+    """1 at each grid level whose solution has ``target`` penalized nonzeros."""
+    stage2, init, mask = pieces
+    path_cfg = AdaLassoConfig(lam=0.0, init=init, penalize_mask=mask,
+                              tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    sols = lambda_path(stage2.ysig, stage2.xsig, path_cfg, grid)
+    return np.array([np.count_nonzero(s.beta[mask]) == target for s in sols], dtype=int)
+
+
 def _pilot_hits(args) -> np.ndarray:
     cfg, index, grid, target = args
-    stage2, init, mask = _pilot_path_pieces(cfg, index)
-    penalized = mask
-    sols = lambda_path(
-        stage2.ysig,
-        stage2.xsig,
-        AdaLassoConfig(
-            lam=0.0, init=init, penalize_mask=mask,
-            tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
-        ),
-        grid,
-    )
-    return np.array(
-        [int(np.count_nonzero(s.beta[penalized])) == target for s in sols], dtype=int
-    )
+    return _path_hits(cfg, _pilot_path_pieces(cfg, index), grid, target)
 
 
 def tune_lambda(cfg: SimConfig, workers: int | None = None) -> TuneResult:
@@ -259,31 +255,20 @@ def tune_lambda(cfg: SimConfig, workers: int | None = None) -> TuneResult:
 
     The grid is log-spaced over [1e-4 * lmax, lmax], with lmax computed on
     the first pilot dataset as the level that zeroes every penalized
-    coordinate.  For each pilot dataset a warm-started path is solved and
-    the grid points achieving the correct number of penalized nonzeros are
-    tallied; ties break toward the larger penalty.  If no grid point ever
-    hits the target the grid midpoint is returned with ``fallback=True``.
-    Pilots run in parallel under the same determinism contract as
-    :func:`monte_carlo`.
+    coordinate.  For each pilot dataset the grid points whose exact solution
+    has the correct number of penalized nonzeros are tallied; ties break
+    toward the larger penalty.  If no grid point ever hits the target the
+    grid midpoint is returned with ``fallback=True``.  Pilots after the
+    first run in parallel under the determinism contract of :func:`monte_carlo`.
     """
-    _, sigma_star = true_moments(cfg)
-    penalized = np.ones(half_dim(cfg.p), dtype=bool)
-    penalized[0] = False
-    target = int(np.count_nonzero(sigma_star[penalized]))
-
-    stage2, init, mask = _pilot_path_pieces(cfg, 0)
+    stage2, init, mask = first = _pilot_path_pieces(cfg, 0)
+    target = int(np.count_nonzero(true_moments(cfg)[1][mask]))
     lmax = lambda_max(stage2.ysig, stage2.xsig, init, mask)
     if lmax <= 0.0:
         return TuneResult(lam=0.0, fallback=True, grid=np.zeros(1), hits=np.zeros(1, int))
     grid = np.geomspace(lmax, lmax * 1e-4, cfg.grid_size)
-    jobs = [(cfg, i, grid, target) for i in range(cfg.pilot_replications)]
-    workers = _resolve_workers(workers, cfg.pilot_replications)
-    if workers == 1:
-        rows = [_pilot_hits(job) for job in jobs]
-    else:
-        chunk = max(1, cfg.pilot_replications // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_pilot_hits, jobs, chunksize=chunk))
+    jobs = [(cfg, i, grid, target) for i in range(1, cfg.pilot_replications)]
+    rows = [_path_hits(cfg, first, grid, target)] + _run_jobs(_pilot_hits, jobs, workers)
     hits = np.sum(rows, axis=0)
     if hits.max() == 0:
         return TuneResult(
@@ -300,35 +285,36 @@ def _mc_worker(args) -> RepResult | None:
         return None
 
 
-def _resolve_workers(workers: int | None, replications: int) -> int:
+def _run_jobs(fn, jobs: list, workers: int | None) -> list:
+    """``[fn(job) for job in jobs]``, in order, on a pool of up to ``workers``."""
     if workers is None:
         env = os.environ.get("RCREG_THREADS", "")
         workers = int(env) if env.strip() else (os.cpu_count() or 1)
-    return max(1, min(int(workers), replications))
+    workers = max(1, min(int(workers), len(jobs)))
+    if workers == 1:
+        return [fn(job) for job in jobs]
+    chunk = max(1, len(jobs) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs, chunksize=chunk))
 
 
 def monte_carlo(cfg: SimConfig, workers: int | None = None) -> SimReport:
     """Aggregate ``cfg.replications`` replications into a selection report.
 
     ``workers`` defaults to the RCREG_THREADS environment variable, then the
-    CPU count.  Results are bit-identical for any worker count because each
-    replication owns its RNG stream and aggregation follows replication
-    order.  Failed replications are counted, not fatal.
+    CPU count, and applies to the tuning pilots too.  Results are
+    bit-identical for any worker count because each replication owns its
+    RNG stream and aggregation follows replication order.  Failed
+    replications are counted, not fatal.
     """
     fallback = False
     lam = cfg.lam
     if lam is None:
-        tuned = tune_lambda(cfg)
+        tuned = tune_lambda(cfg, workers)
         lam, fallback = tuned.lam, tuned.fallback
     rcfg = replace(cfg, lam=lam)
-    workers = _resolve_workers(workers, cfg.replications)
     jobs = [(rcfg, i) for i in range(cfg.replications)]
-    if workers == 1:
-        results = [_mc_worker(job) for job in jobs]
-    else:
-        chunk = max(1, cfg.replications // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_worker, jobs, chunksize=chunk))
+    results = _run_jobs(_mc_worker, jobs, workers)
     completed = [r for r in results if r is not None]
     failures = len(results) - len(completed)
     fp_hist: dict[int, int] = {}

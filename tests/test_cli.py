@@ -1,5 +1,6 @@
 """Command-line surface: schemas, exit codes, goldens, round-trips."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from rcreg import cli, fit_moments
 from rcreg.cli import dump_json, main
 
 
@@ -166,6 +168,26 @@ class TestFit:
         code, _, err = run_cli(["fit", "--data", data, "--lambda", "0"], capsys)
         assert code == 1
         assert "line 3" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_value_names_line(self, tmp_path, bad):
+        rows = [f"{1.0 + k},{0.1 * k - 0.5},{0.3 - 0.05 * k}" for k in range(12)]
+        rows[5] = f"2.0,{bad},0.1"
+        data = write(tmp_path / "d.csv", "y,w1,w2\n" + "\n".join(rows) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rcreg", "fit", "--data", data, "--lambda", "0.1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"rcreg: {data}: non-finite value at line 7"]
+
+    def test_nonconvergence_exit_one(self, tmp_path, capsys, monkeypatch):
+        data, _ = _noiseless_csv(tmp_path, seed=4)
+        monkeypatch.setattr(cli, "fit_moments", functools.partial(fit_moments, max_iter=1))
+        code, out, err = run_cli(["fit", "--data", data, "--lambda", "0"], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "did not converge" in err
 
     def test_bad_header_rejected(self, tmp_path, capsys):
         data = write(tmp_path / "d.csv", "resp,w1\n1.0,2.0\n")

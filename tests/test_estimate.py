@@ -14,6 +14,7 @@ from dgp_helpers import (
     mkl_from_raw_moments,
 )
 from rcreg import (
+    ConvergenceError,
     Dataset,
     DimensionError,
     DomainError,
@@ -124,6 +125,11 @@ class TestFitMoments:
         assert np.array_equal(vec_half(fit.Sigma_hat), fit.sigma_hat)
         assert fit.psd == (min_eigenvalue(fit.Sigma_hat) >= -1e-9)
         assert fit.lambda_used == 2.0
+
+    def test_nonconvergence_raises(self):
+        data = draw_dataset(2500, seed=8)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            fit_moments(data, 0.0, max_iter=1)
 
     def test_short_sample_rejected(self):
         rng = np.random.default_rng(10)
@@ -324,6 +330,16 @@ class TestDatasetValidation:
     def test_intercept_column_required(self):
         with pytest.raises(DomainError):
             Dataset(X=np.array([[2.0, 1.0], [1.0, 0.0]]), Y=np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        X = np.ones((3, 2))
+        X[:, 1] = [0.5, 1.5, 2.0]
+        with pytest.raises(DomainError, match="finite"):
+            Dataset(X=X, Y=np.array([1.0, bad, 0.0]))
+        X[2, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            Dataset(X=X, Y=np.zeros(3))
 
     def test_n_at_least_p(self):
         with pytest.raises(DimensionError):

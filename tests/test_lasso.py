@@ -1,4 +1,6 @@
-"""Weighted-l1 coordinate descent: closed forms, KKT certificates, witnesses."""
+"""Weighted-l1 solver: closed forms, exact paths, KKT certificates, witnesses."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from rcreg import (
     AdaLassoConfig,
     DomainError,
+    SingularGramError,
     adaptive_lasso,
     kkt_residual,
     lambda_max,
@@ -160,6 +163,66 @@ class TestLambdaPath:
         X, Y, _ = random_regression(23)
         with pytest.raises(DomainError):
             lambda_path(Y, X, AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1])), [0.1, 1.0])
+
+
+class TestExactPath:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_path_points_are_kkt_solutions_and_match_single_solves(self, seed):
+        """Unpenalized, zero- and negative-init coordinates; every third design orthonormal."""
+        rng = np.random.default_rng(seed + 300)
+        n, p = 150, 7
+        if seed % 3 == 2:
+            X = orthonormal_design(seed + 300, n=n, p=p)
+            Y = X @ rng.uniform(-2, 2, p) + rng.normal(size=n)
+        else:
+            X, Y, _ = random_regression(seed + 300, n=n, p=p, sparse=True)
+        init = rng.uniform(-2, 2, p)
+        mask = rng.random(p) < 0.7
+        mask[1] = True
+        if seed % 2:
+            init[rng.integers(2, p)] = 0.0
+        cfg = AdaLassoConfig(lam=0.0, init=init, penalize_mask=mask)
+        lmax = lambda_max(Y, X, init, mask)
+        grid = np.concatenate([[2.0 * lmax], np.geomspace(lmax, 1e-4 * lmax, 20), [0.0]])
+        sols = lambda_path(Y, X, cfg, grid)
+        assert sum(s.iterations for s in sols) >= 1
+        for lam, sol in zip(grid, sols):
+            at = replace(cfg, lam=float(lam))
+            assert sol.converged and sol.lam == lam
+            assert kkt_residual(Y, X, sol.beta, at) <= 10 * cfg.tol
+            single = adaptive_lasso(Y, X, at)
+            assert np.max(np.abs(single.beta - sol.beta)) <= 1e-10
+        assert np.all(sols[0].beta[mask] == 0.0) and np.all(sols[1].beta[mask] == 0.0)
+
+    def test_orthonormal_path_soft_thresholds(self):
+        rng = np.random.default_rng(40)
+        X = orthonormal_design(40)
+        Y = X @ np.array([2.0, -1.0, 0.0, 0.5, 0.0, 3.0]) + rng.normal(size=X.shape[0])
+        init = rng.uniform(-2.5, 2.5, X.shape[1])
+        b_ols = ols(Y, X)
+        grid = np.geomspace(lambda_max(Y, X, init), 1e-3, 25)
+        sols = lambda_path(Y, X, AdaLassoConfig(lam=0.0, init=init), grid)
+        for lam, sol in zip(grid, sols):
+            expect = np.sign(b_ols) * np.maximum(np.abs(b_ols) - lam / np.abs(init), 0.0)
+            assert np.max(np.abs(sol.beta - expect)) <= 1e-10
+
+    def test_rank_deficient_design_raises_singular_gram(self):
+        X, Y, _ = random_regression(41)
+        X = np.concatenate([X, X[:, [2]]], axis=1)
+        cfg = AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1]))
+        with pytest.raises(SingularGramError):
+            adaptive_lasso(Y, X, cfg)
+        with pytest.raises(SingularGramError):
+            lambda_path(Y, X, cfg, [1.0, 0.0])
+
+    def test_max_iter_bounds_breakpoints_of_the_walk(self):
+        X, Y, _ = random_regression(42)
+        cfg = AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1]), max_iter=2)
+        sols = lambda_path(Y, X, cfg, [1e6, 0.0, 0.0])
+        assert sols[0].converged and sols[0].iterations == 0
+        assert [s.converged for s in sols[1:]] == [False, False]
+        assert sols[1].iterations == 2 and sols[2].iterations == 0
+        assert np.array_equal(sols[1].beta, sols[2].beta)
 
 
 class TestWitness:

@@ -1,10 +1,12 @@
 """Monte Carlo harness: DGP law, determinism, tuning, selection trends."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
+from rcreg import simulate
 from rcreg import (
     CovariateLaw,
     DomainError,
@@ -148,6 +150,20 @@ class TestTuneLambda:
         assert not tuned.fallback
         assert tuned.lam == tuned.grid[0]
 
+    def test_first_pilot_drawn_once(self, monkeypatch):
+        calls = []
+        draw = simulate.dgp_sample
+
+        def counted(cfg, index, **kwargs):
+            calls.append((kwargs.get("stream"), index))
+            return draw(cfg, index, **kwargs)
+
+        monkeypatch.setattr(simulate, "dgp_sample", counted)
+        cfg = SimConfig(n=1500, p=5, seed=13, pilot_replications=3, grid_size=8)
+        serial = tune_lambda(cfg, workers=1)
+        assert sorted(calls) == [(simulate._STREAM_PILOT, i) for i in range(3)]
+        assert np.array_equal(serial.hits, tune_lambda(cfg, workers=2).hits)
+
     def test_three_point_tunes_larger_than_interval(self):
         """Stochastic trend over 5 paired tuning runs."""
         lams = {law: [] for law in CovariateLaw}
@@ -185,6 +201,25 @@ class TestMonteCarlo:
         report = monte_carlo(cfg, workers=1)
         assert report.failures == 4
         assert report.per_rep == [] and report.sign_recovery_rate == 0.0
+
+    def test_single_worker_tunes_without_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=1 must not start a process pool")
+
+        monkeypatch.delenv("RCREG_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+        cfg = SimConfig(
+            n=800, p=5, seed=18, lam=None, replications=2, pilot_replications=3,
+            grid_size=8,
+        )
+        report = monte_carlo(cfg, workers=1)
+        assert report.replications == 2 and report.lambda_used > 0.0
+
+    def test_nonconverged_replications_counted_as_failures(self):
+        cfg = SimConfig(n=600, p=5, seed=20, lam=0.0, replications=3, solver_max_iter=1)
+        report = monte_carlo(cfg, workers=1)
+        assert report.failures == 3 and report.per_rep == []
 
     def test_histogram_mass_and_rate_definition(self):
         cfg = SimConfig(n=1500, p=5, seed=17, lam=12.0, replications=12)
