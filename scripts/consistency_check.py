@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from rcreg import SimConfig, build_second_stage, dgp_sample, ols, true_moments
+from rcreg import SecondStage, SimConfig, dgp_sample, true_moments
 
 
 def parse_args(argv=None):
@@ -36,12 +36,9 @@ def main(argv=None) -> int:
         mu_star, sigma_star = true_moments(cfg)
         mu_errs, sig_errs = [], []
         for i in range(args.replications):
-            data = dgp_sample(cfg, i)
-            mu_hat = ols(data.Y, data.X)
-            stage = build_second_stage(data, mu_hat)
-            init = ols(stage.ysig, stage.xsig)
-            mu_errs.append(np.sum((mu_hat - mu_star) ** 2))
-            sig_errs.append(np.sum((init - sigma_star) ** 2))
+            stage = SecondStage.from_data(dgp_sample(cfg, i))
+            mu_errs.append(np.sum((stage.mu_hat - mu_star) ** 2))
+            sig_errs.append(np.sum((stage.init - sigma_star) ** 2))
         rm, rs = np.sqrt(np.mean(mu_errs)), np.sqrt(np.mean(sig_errs))
         note = ""
         if prev is not None:

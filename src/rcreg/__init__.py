@@ -50,6 +50,7 @@ from .estimate import (
     LassoSolution,
     MomentFit,
     SandwichEstimate,
+    SecondStage,
     SecondStageDesign,
     WitnessReport,
     adaptive_lasso,

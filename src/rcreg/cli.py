@@ -19,9 +19,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import RcregError
-from .estimate import (
-    AdaLassoConfig,
+# build_second_stage, fit_moments, ols: unused, kept for perfbench/tracing.py.
+from .estimate import (  # noqa: F401
     Dataset,
+    SecondStage,
+    adaptive_lasso,
     build_second_stage,
     fit_moments,
     lambda_max,
@@ -193,42 +195,36 @@ def _read_dataset_csv(path: str) -> Dataset:
     return Dataset.from_covariates(arr[:, 1:], arr[:, 0])
 
 
-def _fit_path(data: Dataset, pick: bool):
+def _fit_path(stage: SecondStage, pick: bool):
     """Exact second-stage path on a 50-point grid below lmax, and its BIC pick.
 
-    BIC (a data-only heuristic) is evaluated only when ``pick``.  The second
-    stage is freed on return, before the fit builds its own copy.
+    BIC (a data-only heuristic) is evaluated only when ``pick``; the pick is
+    an index into the grid, 0 otherwise.
     """
-    mu_hat = ols(data.Y, data.X)
-    stage2 = build_second_stage(data, mu_hat)
-    init = ols(stage2.ysig, stage2.xsig)
-    mask = np.ones(half_dim(data.p), dtype=bool)
-    mask[0] = False
-    lmax = lambda_max(stage2.ysig, stage2.xsig, init, mask)
+    lmax = lambda_max(stage.ysig, stage.xsig, stage.init, stage.penalize_mask)
     grid = np.geomspace(lmax, lmax * 1e-4, 50) if lmax > 0 else np.zeros(1)
-    sols = lambda_path(
-        stage2.ysig, stage2.xsig, AdaLassoConfig(lam=0.0, init=init, penalize_mask=mask), grid
-    )
-    n, best_lam, best_bic = data.n, float(grid[0]), math.inf
-    for lam, sol in zip(grid, sols if pick else []):
-        rss = float(np.sum((stage2.ysig - stage2.xsig @ sol.beta) ** 2))
+    sols = lambda_path(stage.ysig, stage.xsig, stage.config(0.0), grid)
+    n, best, best_bic = stage.ysig.shape[0], 0, math.inf
+    for k, sol in enumerate(sols if pick else []):
+        rss = float(np.sum((stage.ysig - stage.xsig @ sol.beta) ** 2))
         bic = n * math.log(max(rss, 1e-300) / n) + math.log(n) * sol.active_set.size
         if bic < best_bic:
-            best_lam, best_bic = float(lam), bic
-    return grid, sols, best_lam
+            best, best_bic = k, bic
+    return grid, sols, best
 
 
 def _cmd_fit(args) -> int:
     data = _read_dataset_csv(args.data)
     if args.lam is not None and args.auto:
         raise _UsageError("rcreg fit: --lambda and --auto are mutually exclusive")
-    lam = args.lam
-    if lam is None or args.path_csv:
-        grid, sols, best_lam = _fit_path(data, pick=lam is None)
-        lam = best_lam if lam is None else lam
-    fit = fit_moments(
-        data, lam, penalize_intercept_variance=args.penalize_intercept_variance
-    )
+    stage = SecondStage.from_data(data, args.penalize_intercept_variance)
+    if args.lam is None or args.path_csv:
+        grid, sols, best = _fit_path(stage, pick=args.lam is None)
+    if args.lam is None:
+        sol = sols[best]
+    else:
+        sol = adaptive_lasso(stage.ysig, stage.xsig, stage.config(args.lam))
+    fit = stage.moment_fit(sol)
     payload = {
         "mu_hat": fit.mu_hat,
         "sigma_hat": fit.sigma_hat,

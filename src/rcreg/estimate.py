@@ -14,6 +14,9 @@ Coordinates whose initial estimate is exactly zero are excluded from the
 optimization and fixed at zero; unpenalized coordinates (the intercept
 variance by default) ignore their initial estimate entirely.
 
+Stage two of a dataset is one :class:`SecondStage`, built once by
+``SecondStage.from_data``; fits at one level and paths share it.
+
 The solver follows the exact piecewise-linear solution path in Gram form
 (X'X/n, X'y/n): one walk serves a whole grid of levels, and a single level
 is the same walk stopped early.
@@ -21,6 +24,7 @@ is the same walk stopped early.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +42,7 @@ from .halfvec import half_dim, min_eigenvalue, numeric_rank, unvec_half, v_trans
 __all__ = [
     "Dataset",
     "SecondStageDesign",
+    "SecondStage",
     "AdaLassoConfig",
     "LassoSolution",
     "MomentFit",
@@ -150,6 +155,7 @@ class MomentFit:
     lambda_used: float
     sigma_init: np.ndarray
     solution: LassoSolution
+    penalize_mask: np.ndarray | None = None
 
 
 @dataclass
@@ -207,6 +213,52 @@ def build_second_stage(data: Dataset, mu_hat) -> SecondStageDesign:
     return SecondStageDesign(ysig=resid * resid, xsig=v_transform_rows(data.X))
 
 
+@dataclass(frozen=True)
+class SecondStage:
+    """Stage two of one dataset: first-stage fit ``mu_hat``, squared residuals
+    ``ysig`` on design ``xsig``, their least squares fit ``init`` (weights
+    1/|init|) and ``penalize_mask``.  The intercept variance (position 0) is
+    unpenalized unless requested: the intercept coefficient soaks up any
+    additive error term, so shrinking its variance to zero is rarely wanted.
+    """
+
+    mu_hat: np.ndarray
+    ysig: np.ndarray
+    xsig: np.ndarray
+    init: np.ndarray
+    penalize_mask: np.ndarray
+
+    @classmethod
+    def from_data(cls, data: Dataset, penalize_intercept_variance: bool = False) -> "SecondStage":
+        d = half_dim(data.p)
+        if data.n < d:
+            raise SingularDesignError(
+                f"second stage needs n >= p(p+1)/2 = {d} observations, got {data.n}; "
+                "no pseudo-inverse fallback is provided, collect more data or drop "
+                "covariates"
+            )
+        mu_hat = ols(data.Y, data.X)
+        design = build_second_stage(data, mu_hat)
+        mask = np.ones(d, dtype=bool)
+        mask[0] = penalize_intercept_variance
+        return cls(mu_hat, design.ysig, design.xsig, ols(design.ysig, design.xsig), mask)
+
+    def config(self, lam: float, tol: float = 1e-8, max_iter: int = 100_000) -> AdaLassoConfig:
+        return AdaLassoConfig(lam, self.init, self.penalize_mask, tol, max_iter)
+
+    def moment_fit(self, sol: LassoSolution) -> MomentFit:
+        """Moments from a solution; :class:`ConvergenceError` unless it converged."""
+        if not sol.converged:
+            raise ConvergenceError(f"adaptive lasso did not converge at lambda={sol.lam:.6g} after "
+                                   f"{sol.iterations} breakpoints (KKT residual {sol.kkt_residual:.3g})")
+        Sigma_hat = unvec_half(sol.beta, self.mu_hat.shape[0])
+        return MomentFit(
+            mu_hat=self.mu_hat, sigma_hat=sol.beta, Sigma_hat=Sigma_hat,
+            psd=bool(min_eigenvalue(Sigma_hat) >= -PSD_TOL), lambda_used=sol.lam,
+            sigma_init=self.init, solution=sol, penalize_mask=self.penalize_mask,
+        )
+
+
 def _resolve_config(cfg: AdaLassoConfig, d: int):
     """``(lam, scale, excluded)``; coordinate k's threshold at lam is ``lam / scale[k]``.
 
@@ -214,8 +266,8 @@ def _resolve_config(cfg: AdaLassoConfig, d: int):
     coordinates (penalized, zero initial estimate) are fixed at zero.
     """
     lam = float(cfg.lam)
-    if not lam >= 0.0:
-        raise DomainError(f"lambda must be nonnegative, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise DomainError(f"lambda must be finite and nonnegative, got {lam}")
     if cfg.tol <= 0:
         raise DomainError(f"tol must be positive, got {cfg.tol}")
     init = np.asarray(cfg.init, dtype=float).reshape(-1)
@@ -430,9 +482,11 @@ def lambda_path(Y, X, cfg: AdaLassoConfig, grid) -> list[LassoSolution]:
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if grid.size == 0:
         raise DimensionError("lambda grid must be nonempty")
+    if not np.all(np.isfinite(grid)):
+        raise DomainError("lambda grid must be finite")
     if np.any(np.diff(grid) > 0):
         raise DomainError("lambda grid must be sorted in descending order")
-    if not grid[-1] >= 0.0:
+    if grid[-1] < 0.0:
         raise DomainError(f"lambda must be nonnegative, got {grid[-1]}")
     G, b = _gram(Y, X)
     _, scale, excluded = _resolve_config(cfg, G.shape[0])
@@ -532,40 +586,11 @@ def fit_moments(
 ) -> MomentFit:
     """Full two-stage pipeline: means by OLS, covariance entries by adaptive lasso.
 
-    The intercept-variance coordinate (position 0 of the half-vector) is
-    left unpenalized unless requested otherwise: the intercept coefficient
-    soaks up any additive error term, so shrinking its variance to zero is
-    rarely wanted.  Raises :class:`ConvergenceError` if the solver stops
-    short of ``lambda_sigma`` or of ``tol``.
+    Raises :class:`ConvergenceError` if the solver stops short of ``lambda_sigma`` or ``tol``.
     """
-    d = half_dim(data.p)
-    if data.n < d:
-        raise SingularDesignError(
-            f"second stage needs n >= p(p+1)/2 = {d} observations, got {data.n}; "
-            "no pseudo-inverse fallback is provided, collect more data or drop "
-            "covariates"
-        )
-    mu_hat = ols(data.Y, data.X)
-    stage2 = build_second_stage(data, mu_hat)
-    sigma_init = ols(stage2.ysig, stage2.xsig)
-    mask = np.ones(d, dtype=bool)
-    mask[0] = penalize_intercept_variance
-    cfg = AdaLassoConfig(lam=lambda_sigma, init=sigma_init, penalize_mask=mask,
-                         tol=tol, max_iter=max_iter)
-    sol = adaptive_lasso(stage2.ysig, stage2.xsig, cfg)
-    if not sol.converged:
-        raise ConvergenceError(f"adaptive lasso did not converge at lambda={sol.lam:.6g} (max_iter="
-                               f"{max_iter}, KKT residual {sol.kkt_residual:.3g}, tol {tol:.3g})")
-    Sigma_hat = unvec_half(sol.beta, data.p)
-    return MomentFit(
-        mu_hat=mu_hat,
-        sigma_hat=sol.beta,
-        Sigma_hat=Sigma_hat,
-        psd=bool(min_eigenvalue(Sigma_hat) >= -PSD_TOL),
-        lambda_used=float(lambda_sigma),
-        sigma_init=sigma_init,
-        solution=sol,
-    )
+    stage = SecondStage.from_data(data, penalize_intercept_variance)
+    sol = adaptive_lasso(stage.ysig, stage.xsig, stage.config(lambda_sigma, tol, max_iter))
+    return stage.moment_fit(sol)
 
 
 def select_means(
@@ -598,12 +623,12 @@ def sandwich(data: Dataset, fit: MomentFit) -> SandwichEstimate:
     diagnostic: it ignores selection uncertainty, so it is not a basis for
     formal inference.
     """
-    xsig = v_transform_rows(data.X)
+    stage2 = build_second_stage(data, fit.mu_hat)
+    xsig = stage2.xsig
     n = data.n
     c_hat = (xsig.T @ xsig) / n
     c_hat = (c_hat + c_hat.T) / 2.0
-    resid1 = data.Y - data.X @ fit.mu_hat
-    omega = (resid1 * resid1 - xsig @ fit.sigma_hat) ** 2
+    omega = (stage2.ysig - xsig @ fit.sigma_hat) ** 2
     b_hat = (xsig * omega[:, None]).T @ xsig / n
     b_hat = (b_hat + b_hat.T) / 2.0
     S = fit.solution.active_set

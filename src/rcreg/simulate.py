@@ -14,6 +14,8 @@ results are independent of execution order and worker count.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -22,16 +24,17 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, RcregError
-from .estimate import (
-    AdaLassoConfig,
+# build_second_stage, ols: unused here, kept for perfbench/tracing.py.
+from .estimate import (  # noqa: F401
     Dataset,
+    SecondStage,
     build_second_stage,
     fit_moments,
     lambda_max,
     lambda_path,
     ols,
 )
-from .halfvec import half_dim, min_eigenvalue, unvec_half, vec_half
+from .halfvec import min_eigenvalue, unvec_half, vec_half
 
 __all__ = [
     "CovariateLaw",
@@ -88,6 +91,11 @@ class SimConfig:
     solver_max_iter: int = 100_000
 
     def __post_init__(self):
+        for name in ("n", "p", "replications", "seed", "pilot_replications", "grid_size",
+                     "solver_max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         self.covariate_law = CovariateLaw(self.covariate_law)
         self.mu1 = np.asarray(self.mu1, dtype=float).reshape(-1)
         self.sigma1 = np.asarray(self.sigma1, dtype=float)
@@ -101,7 +109,18 @@ class SimConfig:
             raise DomainError(f"grid_size must be >= 1, got {self.grid_size}")
         if self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
+        if not (_finite_real(self.solver_tol) and self.solver_tol > 0):
+            raise DomainError(f"solver_tol must be finite and positive, got {self.solver_tol!r}")
+        if self.solver_max_iter < 1:
+            raise DomainError(f"solver_max_iter must be >= 1, got {self.solver_max_iter}")
+        if self.lam is not None and not (_finite_real(self.lam) and self.lam >= 0):
+            raise DomainError(f"lam must be finite and nonnegative, got {self.lam!r}")
         _psd_factor(self.sigma1)  # fail fast on an invalid covariance block
+
+
+def _finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -205,8 +224,7 @@ def run_replication(cfg: SimConfig, rep_index: int) -> RepResult:
     _, sigma_star = true_moments(cfg)
     est_sign = np.sign(fit.sigma_hat).astype(int)
     true_sign = np.sign(sigma_star).astype(int)
-    penalized = np.ones(half_dim(cfg.p), dtype=bool)
-    penalized[0] = False
+    penalized = fit.penalize_mask
     est_nz = fit.sigma_hat != 0.0
     true_nz = sigma_star != 0.0
     fp = int(np.count_nonzero(penalized & est_nz & ~true_nz))
@@ -226,28 +244,18 @@ def run_replication(cfg: SimConfig, rep_index: int) -> RepResult:
     )
 
 
-def _pilot_path_pieces(cfg: SimConfig, index: int):
-    data = dgp_sample(cfg, index, stream=_STREAM_PILOT)
-    mu_hat = ols(data.Y, data.X)
-    stage2 = build_second_stage(data, mu_hat)
-    init = ols(stage2.ysig, stage2.xsig)
-    mask = np.ones(half_dim(cfg.p), dtype=bool)
-    mask[0] = False
-    return stage2, init, mask
-
-
-def _path_hits(cfg: SimConfig, pieces, grid, target: int) -> np.ndarray:
+def _path_hits(cfg: SimConfig, stage: SecondStage, grid, target: int) -> np.ndarray:
     """1 at each grid level whose solution has ``target`` penalized nonzeros."""
-    stage2, init, mask = pieces
-    path_cfg = AdaLassoConfig(lam=0.0, init=init, penalize_mask=mask,
-                              tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-    sols = lambda_path(stage2.ysig, stage2.xsig, path_cfg, grid)
+    path_cfg = stage.config(0.0, cfg.solver_tol, cfg.solver_max_iter)
+    sols = lambda_path(stage.ysig, stage.xsig, path_cfg, grid)
+    mask = stage.penalize_mask
     return np.array([np.count_nonzero(s.beta[mask]) == target for s in sols], dtype=int)
 
 
 def _pilot_hits(args) -> np.ndarray:
     cfg, index, grid, target = args
-    return _path_hits(cfg, _pilot_path_pieces(cfg, index), grid, target)
+    stage = SecondStage.from_data(dgp_sample(cfg, index, stream=_STREAM_PILOT))
+    return _path_hits(cfg, stage, grid, target)
 
 
 def tune_lambda(cfg: SimConfig, workers: int | None = None) -> TuneResult:
@@ -261,9 +269,9 @@ def tune_lambda(cfg: SimConfig, workers: int | None = None) -> TuneResult:
     grid midpoint is returned with ``fallback=True``.  Pilots after the
     first run in parallel under the determinism contract of :func:`monte_carlo`.
     """
-    stage2, init, mask = first = _pilot_path_pieces(cfg, 0)
-    target = int(np.count_nonzero(true_moments(cfg)[1][mask]))
-    lmax = lambda_max(stage2.ysig, stage2.xsig, init, mask)
+    first = SecondStage.from_data(dgp_sample(cfg, 0, stream=_STREAM_PILOT))
+    target = int(np.count_nonzero(true_moments(cfg)[1][first.penalize_mask]))
+    lmax = lambda_max(first.ysig, first.xsig, first.init, first.penalize_mask)
     if lmax <= 0.0:
         return TuneResult(lam=0.0, fallback=True, grid=np.zeros(1), hits=np.zeros(1, int))
     grid = np.geomspace(lmax, lmax * 1e-4, cfg.grid_size)

@@ -1,6 +1,6 @@
 """Command-line surface: schemas, exit codes, goldens, round-trips."""
 
-import functools
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from rcreg import cli, fit_moments
+import rcreg
+from rcreg import cli
 from rcreg.cli import dump_json, main
 
 
@@ -132,6 +133,14 @@ def _noiseless_csv(tmp_path, n=120, seed=0):
     return write(tmp_path / "d.csv", "\n".join(lines) + "\n"), mu
 
 
+def _random_coefficient_csv(tmp_path, n=800, p=5, seed=1):
+    data = rcreg.dgp_sample(rcreg.SimConfig(n=n, p=p, seed=seed), 0)
+    rows = np.column_stack([data.Y, data.X[:, 1:]])
+    lines = ["y," + ",".join(f"w{k}" for k in range(1, p))]
+    lines += [",".join(repr(float(v)) for v in row) for row in rows]
+    return write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+
+
 class TestFit:
     def test_noiseless_recovers_means(self, tmp_path, capsys):
         data, mu = _noiseless_csv(tmp_path)
@@ -184,10 +193,52 @@ class TestFit:
 
     def test_nonconvergence_exit_one(self, tmp_path, capsys, monkeypatch):
         data, _ = _noiseless_csv(tmp_path, seed=4)
-        monkeypatch.setattr(cli, "fit_moments", functools.partial(fit_moments, max_iter=1))
+        solve = cli.adaptive_lasso
+        monkeypatch.setattr(cli, "adaptive_lasso",
+                            lambda Y, X, cfg: solve(Y, X, dataclasses.replace(cfg, max_iter=1)))
         code, out, err = run_cli(["fit", "--data", data, "--lambda", "0"], capsys)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and "did not converge" in err
+
+    def test_non_finite_lambda_exit_one(self, tmp_path):
+        data, _ = _noiseless_csv(tmp_path, seed=5)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rcreg", "fit", "--data", data, "--lambda", "inf"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines() == ["rcreg: lambda must be finite and nonnegative, got inf"]
+
+    @pytest.mark.parametrize("flag", [[], ["--penalize-intercept-variance"]])
+    def test_auto_fit_is_a_path_row(self, tmp_path, capsys, flag):
+        data = _random_coefficient_csv(tmp_path)
+        path_csv = tmp_path / "path.csv"
+        code, out, _ = run_cli(
+            ["fit", "--data", data, "--auto", "--path-csv", str(path_csv)] + flag, capsys
+        )
+        assert code == 0
+        payload = json.loads(out)
+        rows = path_csv.read_text().splitlines()[1:]
+        picked = [r.split(",") for r in rows if float(r.split(",")[0]) == payload["lambda_used"]]
+        assert len(picked) == 1
+        assert picked[0][3:] == [cli._format_float(v) for v in payload["sigma_hat"]]
+        if flag:
+            assert all(float(v) == 0.0 for v in rows[0].split(",")[3:])
+
+    def test_auto_with_path_builds_the_second_stage_once(self, tmp_path, capsys, monkeypatch):
+        data = _random_coefficient_csv(tmp_path)
+        calls = []
+        transform = rcreg.estimate.v_transform_rows
+
+        def counted(X):
+            calls.append(X.shape)
+            return transform(X)
+
+        monkeypatch.setattr(rcreg.estimate, "v_transform_rows", counted)
+        code, _, _ = run_cli(
+            ["fit", "--data", data, "--auto", "--path-csv", str(tmp_path / "path.csv")], capsys
+        )
+        assert code == 0 and len(calls) == 1
 
     def test_bad_header_rejected(self, tmp_path, capsys):
         data = write(tmp_path / "d.csv", "resp,w1\n1.0,2.0\n")
@@ -268,6 +319,22 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "r")], capsys)
         assert code == 1
         assert "bogus" in err
+
+    @pytest.mark.parametrize("field", [
+        '"p": 6.5', '"replications": 2.5', '"grid_size": 2.5', '"seed": 2.5', '"seed": true',
+        '"pilot_replications": false', '"solver_tol": 0', '"solver_tol": NaN',
+        '"solver_max_iter": 0', '"lambda": -1', '"lambda": Infinity',
+    ])
+    def test_bad_field_exit_one(self, tmp_path, field):
+        raw = {"n": 500, "lambda": 1.0, **json.loads("{%s}" % field)}
+        cfg = write(tmp_path / "sim.json", json.dumps(raw))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rcreg", "simulate", "--config", cfg,
+             "--out", str(tmp_path / "r")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
 class TestRoundTrip:

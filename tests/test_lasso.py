@@ -92,6 +92,12 @@ class TestSolverBasics:
         with pytest.raises(DomainError):
             adaptive_lasso(Y, X, AdaLassoConfig(lam=-1.0, init=np.ones(X.shape[1])))
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_non_finite_lambda_rejected(self, lam):
+        X, Y, _ = random_regression(8)
+        with pytest.raises(DomainError, match="finite"):
+            adaptive_lasso(Y, X, AdaLassoConfig(lam=lam, init=np.ones(X.shape[1])))
+
 
 class TestKKT:
     @pytest.mark.parametrize("seed", range(8))
@@ -163,6 +169,12 @@ class TestLambdaPath:
         X, Y, _ = random_regression(23)
         with pytest.raises(DomainError):
             lambda_path(Y, X, AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1])), [0.1, 1.0])
+
+    @pytest.mark.parametrize("grid", [[np.inf, 1.0, 0.1], [1.0, 0.1, np.nan]])
+    def test_non_finite_grid_rejected(self, grid):
+        X, Y, _ = random_regression(23)
+        with pytest.raises(DomainError, match="finite"):
+            lambda_path(Y, X, AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1])), grid)
 
 
 class TestExactPath:
