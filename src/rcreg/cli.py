@@ -277,7 +277,7 @@ def _cmd_simulate(args) -> int:
         raise RcregError(f"{args.config}: missing required field 'n'")
     n_values = n_field if isinstance(n_field, list) else [n_field]
     lam_field = raw.pop("lambda", "auto")
-    lam = None if (lam_field is None or lam_field == "auto") else float(lam_field)
+    lam = None if (lam_field is None or lam_field == "auto") else lam_field
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.replications is not None:
@@ -296,11 +296,11 @@ def _cmd_simulate(args) -> int:
     summaries = []
     csv_rows = []
     for n in n_values:
-        cfg = SimConfig(n=int(n), lam=lam, **raw)
+        cfg = SimConfig(n=n, lam=lam, **raw)
         report = monte_carlo(cfg)
         summaries.append(_summary_payload(cfg, report))
         for i, rep in enumerate(report.per_rep):
-            csv_rows.append((int(n), i, int(rep.sign_ok), rep.fp, rep.fn))
+            csv_rows.append((cfg.n, i, int(rep.sign_ok), rep.fp, rep.fn))
     csv_path = os.path.join(args.out, "replications.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

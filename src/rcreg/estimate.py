@@ -181,8 +181,11 @@ class WitnessReport:
 def ols(Y, X) -> np.ndarray:
     """Least squares coefficients; the design must have full column rank.
 
-    Rank is judged from the singular values of the solve itself (relative
-    threshold 1e-10, as in :func:`rcreg.halfvec.numeric_rank`).
+    Rank is judged from the singular values of an SVD solve (relative
+    threshold 1e-10, as in :func:`rcreg.halfvec.numeric_rank`).  A design
+    whose Gram ``G = X'X`` has eigenvalues min > 1e-8 max has cond(X) < 1e4,
+    which that rule never rejects; it is solved from G, plus one step of
+    iterative refinement, which undoes the squared conditioning.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float).reshape(-1)
@@ -194,6 +197,12 @@ def ols(Y, X) -> np.ndarray:
         raise SingularDesignError(
             f"design with shape {X.shape} is rank deficient; cannot solve"
         )
+    G = X.T @ X
+    if X.shape[1] and np.all(np.isfinite(G)):
+        w = np.linalg.eigvalsh(G)
+        if w[0] > 1e-8 * w[-1]:
+            beta = np.linalg.solve(G, X.T @ Y)
+            return beta + np.linalg.solve(G, X.T @ (Y - X @ beta))
     beta, _, _, svals = np.linalg.lstsq(X, Y, rcond=None)
     if svals.size == 0 or np.count_nonzero(svals > 1e-10 * svals[0]) < X.shape[1]:
         raise SingularDesignError(
@@ -515,8 +524,8 @@ def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> Wit
     S = np.asarray(S, dtype=int).reshape(-1)
     if S.size > n:
         raise DimensionError(f"|S|={S.size} exceeds the sample size {n}")
-    if lam < 0:
-        raise DomainError(f"lambda must be nonnegative, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise DomainError(f"lambda must be finite and nonnegative, got {lam}")
     init = np.asarray(init, dtype=float).reshape(-1)
     if init.shape[0] != p:
         raise DimensionError(f"init must have length {p}, got {init.shape[0]}")

@@ -121,12 +121,22 @@ def v_transform(x) -> np.ndarray:
 
 
 def v_transform_rows(X) -> np.ndarray:
-    """Row-wise :func:`v_transform` of an n x p matrix, returned as n x p(p+1)/2."""
+    """Row-wise :func:`v_transform` of an n x p matrix, returned as n x p(p+1)/2.
+
+    The columns are written in one pass, so the result is Fortran-ordered.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
         raise DimensionError(f"expected an n x p matrix with p >= 1, got shape {X.shape}")
-    i, j = np.triu_indices(X.shape[1], k=1)
-    return np.concatenate([X * X, 2.0 * X[:, i] * X[:, j]], axis=1)
+    p = X.shape[1]
+    cols = np.ascontiguousarray(X.T)
+    out = np.empty((half_dim(p), X.shape[0]))
+    np.multiply(cols, cols, out=out[:p])
+    k = p
+    for i in range(p - 1):
+        np.multiply(2.0 * cols[i], cols[i + 1:], out=out[k:k + p - 1 - i])
+        k += p - 1 - i
+    return out.T
 
 
 def min_eigenvalue(M) -> float:

@@ -212,7 +212,6 @@ def cartesian_identifying_points(spec: SupportSpec) -> list[np.ndarray]:
         w = base.copy()
         w[j] = spec.supports[j][2]
         points.append(w)
-    assert len(points) == half_dim(spec.p)
     return points
 
 

@@ -296,8 +296,10 @@ def _mc_worker(args) -> RepResult | None:
 def _run_jobs(fn, jobs: list, workers: int | None) -> list:
     """``[fn(job) for job in jobs]``, in order, on a pool of up to ``workers``."""
     if workers is None:
-        env = os.environ.get("RCREG_THREADS", "")
-        workers = int(env) if env.strip() else (os.cpu_count() or 1)
+        env = os.environ.get("RCREG_THREADS", "").strip()
+        if env and not (env.isdecimal() and int(env) > 0):
+            raise DomainError(f"RCREG_THREADS must be a positive integer, got {env!r}")
+        workers = int(env) if env else (os.cpu_count() or 1)
     workers = max(1, min(int(workers), len(jobs)))
     if workers == 1:
         return [fn(job) for job in jobs]

@@ -323,7 +323,8 @@ class TestSimulate:
     @pytest.mark.parametrize("field", [
         '"p": 6.5', '"replications": 2.5', '"grid_size": 2.5', '"seed": 2.5', '"seed": true',
         '"pilot_replications": false', '"solver_tol": 0', '"solver_tol": NaN',
-        '"solver_max_iter": 0', '"lambda": -1', '"lambda": Infinity',
+        '"solver_max_iter": 0', '"lambda": -1', '"lambda": Infinity', '"n": 600.7',
+        '"lambda": true',
     ])
     def test_bad_field_exit_one(self, tmp_path, field):
         raw = {"n": 500, "lambda": 1.0, **json.loads("{%s}" % field)}

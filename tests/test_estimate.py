@@ -57,6 +57,39 @@ class TestOls:
         qr_solution = np.linalg.solve(R, Q.T @ Y)
         assert np.max(np.abs(ols(Y, X) - qr_solution)) <= 1e-9
 
+    @staticmethod
+    def _design(cond, seed, n=300, p=6):
+        """Design with singular values spread geometrically from 1 to 1/cond."""
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.normal(size=(n, p)))
+        V, _ = np.linalg.qr(rng.normal(size=(p, p)))
+        return (U * np.geomspace(1.0, 1.0 / cond, p)) @ V.T, rng
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_outside_the_gram_guard_equals_lstsq(self, seed):
+        X, rng = self._design(1e6, seed)
+        Y = rng.normal(size=X.shape[0])
+        assert np.array_equal(ols(Y, X), np.linalg.lstsq(X, Y, rcond=None)[0])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_just_inside_the_gram_guard_matches_qr_oracle(self, seed):
+        X, rng = self._design(9.9e3, seed)
+        w = np.linalg.eigvalsh(X.T @ X)
+        assert 1e-8 < w[0] / w[-1] < 1.1e-8
+        Y = X @ rng.uniform(-3.0, 3.0, X.shape[1]) + 1e-4 * rng.normal(size=X.shape[0])
+        Q, R = np.linalg.qr(X)
+        assert np.max(np.abs(ols(Y, X) - np.linalg.solve(R, Q.T @ Y))) <= 1e-9
+
+    @pytest.mark.parametrize("cond,singular", [(1e9, False), (1e11, True)])
+    def test_rank_rule_unchanged_past_the_guard(self, cond, singular):
+        X, rng = self._design(cond, 4)
+        Y = rng.normal(size=X.shape[0])
+        if singular:
+            with pytest.raises(SingularDesignError):
+                ols(Y, X)
+        else:
+            assert np.array_equal(ols(Y, X), np.linalg.lstsq(X, Y, rcond=None)[0])
+
     def test_rank_deficient_rejected(self):
         X = np.ones((10, 2))
         with pytest.raises(SingularDesignError):

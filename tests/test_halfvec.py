@@ -62,6 +62,22 @@ def test_v_transform_rows_matches_single():
         assert np.array_equal(rows[i], v_transform(X[i]))
 
 
+@pytest.mark.parametrize("shape,law", [
+    ((9, 1), "normal"), ((1, 6), "normal"), ((1, 1), "normal"), ((40, 7), "normal"),
+    ((60, 10), "three_point"),
+])
+def test_v_transform_rows_is_row_by_row_bit_for_bit(shape, law):
+    rng = np.random.default_rng(sum(shape))
+    if law == "normal":
+        X = rng.normal(size=shape) * 10.0 ** rng.integers(-150, 150, size=shape)
+    else:
+        X = rng.choice([-1.0, 0.0, 1.0], size=shape)
+    rows = v_transform_rows(X)
+    assert rows.shape == (shape[0], half_dim(shape[1])) and rows.flags.f_contiguous
+    for i in range(shape[0]):
+        assert np.array_equal(rows[i], v_transform(X[i]))
+
+
 def test_min_eigenvalue_examples():
     assert min_eigenvalue(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
     assert min_eigenvalue(np.diag([2.0, -1.0])) == pytest.approx(-1.0, abs=1e-12)

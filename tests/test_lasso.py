@@ -237,6 +237,19 @@ class TestExactPath:
         assert np.array_equal(sols[1].beta, sols[2].beta)
 
 
+def test_fortran_ordered_design_gives_the_same_path():
+    """Same active sets; the layouts' Gram products may differ in the last bits."""
+    X, Y, beta = random_regression(43, n=300, p=8, sparse=True)
+    cfg = AdaLassoConfig(lam=0.0, init=ols(Y, X))
+    grid = np.geomspace(lambda_max(Y, X, cfg.init), 1e-3, 20)
+    c_path = lambda_path(Y, np.ascontiguousarray(X), cfg, grid)
+    f_path = lambda_path(Y, np.asfortranarray(X), cfg, grid)
+    for c, f in zip(c_path, f_path):
+        assert c.converged and f.converged
+        assert np.array_equal(c.active_set, f.active_set)
+        assert np.max(np.abs(c.beta - f.beta)) <= 1e-12 * np.max(np.abs(c.beta), initial=1.0)
+
+
 class TestWitness:
     def test_noiseless_zero_lambda_exact(self):
         # strict dual feasibility is vacuous at lam=0; the closed form is exact
@@ -289,6 +302,13 @@ class TestWitness:
         bad[S[0]] = 0.0
         with pytest.raises(DomainError):
             witness_check(X, Y, S, 0.01, init=bad, beta_star=beta)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_lambda_rejected(self, lam):
+        X, Y, beta = _supported_instance(34, lam_scale=0.0)
+        S = np.flatnonzero(beta)
+        with pytest.raises(DomainError):
+            witness_check(X, Y, S, lam, init=_good_init(beta), beta_star=beta)
 
 
 def _supported_instance(seed, lam_scale=0.0, noise=0.0, n=150, p=6):

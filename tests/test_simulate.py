@@ -216,6 +216,35 @@ class TestMonteCarlo:
         report = monte_carlo(cfg, workers=1)
         assert report.replications == 2 and report.lambda_used > 0.0
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_variable_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("RCREG_THREADS", value)
+        with pytest.raises(DomainError, match="RCREG_THREADS"):
+            simulate._run_jobs(abs, [-1, -2], None)
+
+    @pytest.mark.parametrize("value", ["", "  ", " 3 "])
+    def test_thread_variable_or_cpu_count_sizes_the_pool(self, monkeypatch, value):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                return map(fn, jobs)
+
+        monkeypatch.setenv("RCREG_THREADS", value)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        assert simulate._run_jobs(abs, [-1, -2, -3, -4], None) == [1, 2, 3, 4]
+        assert sizes == [3 if value.strip() else 2]
+
     def test_nonconverged_replications_counted_as_failures(self):
         cfg = SimConfig(n=600, p=5, seed=20, lam=0.0, replications=3, solver_max_iter=1)
         report = monte_carlo(cfg, workers=1)
