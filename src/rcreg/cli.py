@@ -135,11 +135,7 @@ def _cmd_bounds(args) -> int:
     if not isinstance(raw, dict):
         raise RcregError(f"{args.blocks}: expected a JSON object")
     try:
-        blocks = PartialIdBlocks(
-            cov_b0_b2=np.asarray(raw["cov_b0_b2"], dtype=float),
-            cov_b1_b2=np.asarray(raw.get("cov_b1_b2", []), dtype=float),
-            var_b0_plus_b1=float(raw["var_b0_plus_b1"]),
-        )
+        blocks = PartialIdBlocks(raw["cov_b0_b2"], raw.get("cov_b1_b2", []), raw["var_b0_plus_b1"])
     except KeyError as exc:
         raise RcregError(f"{args.blocks}: missing required field {exc}") from exc
     bounds = partial_id_bounds(blocks, tol=args.tol)
@@ -319,13 +315,14 @@ def _build_parser() -> _Parser:
 
     p_id = sub.add_parser("identify", help="decide identifiability from a support spec")
     p_id.add_argument("--spec", required=True, help="JSON file with a 'supports' array")
-    p_id.add_argument("--tol", type=float, default=1e-10, help="relative rank tolerance")
+    p_id.add_argument("--tol", type=float, default=1e-10, help="relative rank tolerance (finite, > 0)")
     p_id.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     p_id.set_defaults(handler=_cmd_identify)
 
     p_b = sub.add_parser("bounds", help="sharp Var(B1) bounds from identified blocks")
     p_b.add_argument("--blocks", required=True, help="JSON file with the identified blocks")
-    p_b.add_argument("--tol", type=float, default=1e-9, help="PSD slack and endpoint precision")
+    p_b.add_argument("--tol", type=float, default=1e-9, help="eigenvalues of cov_b0_b2 <= tol "
+                     "count as zero; bounds below 10*tol read as zero; 10*tol is the PSD slack")
     p_b.add_argument("--out", default=None)
     p_b.set_defaults(handler=_cmd_bounds)
 
@@ -355,10 +352,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except RcregError as exc:
-        print(f"rcreg: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (RcregError, ValueError, KeyError, OSError) as exc:
         print(f"rcreg: {exc}", file=sys.stderr)
         return 1
 

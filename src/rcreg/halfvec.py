@@ -147,13 +147,18 @@ def min_eigenvalue(M) -> float:
     return float(np.linalg.eigvalsh(M)[0])
 
 
+def check_tol(tol: float) -> None:
+    """Raise :class:`DomainError` unless ``tol`` is finite and positive."""
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
+
+
 def numeric_rank(M, tol: float = 1e-10) -> int:
     """Number of singular values exceeding ``tol`` times the largest one.
 
     The relative threshold makes the rank invariant under rescaling of M.
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0

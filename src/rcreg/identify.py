@@ -25,7 +25,7 @@ from .errors import (
     InfeasibleError,
     NotIdentifiableError,
 )
-from .halfvec import half_dim, min_eigenvalue, numeric_rank, v_transform_rows
+from .halfvec import check_tol, half_dim, min_eigenvalue, numeric_rank, v_transform_rows
 
 __all__ = [
     "SupportSpec",
@@ -62,6 +62,8 @@ class SupportSpec:
             pts = tuple(sorted(float(v) for v in pts))
             if len(pts) == 0:
                 raise DomainError(f"coordinate {j + 1} has an empty support")
+            if not all(math.isfinite(v) for v in pts):
+                raise DomainError(f"coordinate {j + 1} has a non-finite support point")
             if len(set(pts)) != len(pts):
                 raise DomainError(f"coordinate {j + 1} has duplicated support points")
             normalized.append(pts)
@@ -128,6 +130,11 @@ class PartialIdBlocks:
 
     def __post_init__(self):
         C = np.asarray(self.cov_b0_b2, dtype=float)
+        r = np.asarray(self.cov_b1_b2, dtype=float).reshape(-1)
+        v = float(self.var_b0_plus_b1)
+        for name, x in (("cov_b0_b2", C), ("cov_b1_b2", r), ("var_b0_plus_b1", v)):
+            if not np.all(np.isfinite(x)):
+                raise DomainError(f"{name} has a non-finite value")
         if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] < 1:
             raise DimensionError(f"cov_b0_b2 must be square, got shape {C.shape}")
         scale = max(1.0, float(np.max(np.abs(C))) if C.size else 1.0)
@@ -139,12 +146,10 @@ class PartialIdBlocks:
             raise DomainError(
                 f"cov_b0_b2 is not positive semidefinite (min eigenvalue {lam:.3e})"
             )
-        r = np.asarray(self.cov_b1_b2, dtype=float).reshape(-1)
         if r.shape[0] != C.shape[0] - 1:
             raise DimensionError(
                 f"cov_b1_b2 must have length {C.shape[0] - 1}, got {r.shape[0]}"
             )
-        v = float(self.var_b0_plus_b1)
         if v < 0:
             raise DomainError(f"var_b0_plus_b1 must be nonnegative, got {v}")
         object.__setattr__(self, "cov_b0_b2", C)
@@ -233,6 +238,8 @@ def check_identified(
     ExplosionError
         If the Cartesian product exceeds ``product_cap`` points; subsample
         the supports and retry.
+    DomainError
+        Unless ``rank_tol`` is finite and positive.
     """
     full_dim = half_dim(spec.p)
     deficient = tuple(j + 1 for j, pts in enumerate(spec.supports) if len(pts) < 3)
@@ -345,80 +352,69 @@ def assemble_covariance(blocks: PartialIdBlocks, s: float) -> np.ndarray:
     return M
 
 
-def _feasibility_margin(blocks: PartialIdBlocks, s: float) -> float:
-    return min_eigenvalue(assemble_covariance(blocks, s))
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def _split_spectrum(F: np.ndarray, tol: float):
+    """Range eigenpairs of F, a basis of its kernel, and whether that kernel loads on B0."""
+    lam, V = np.linalg.eigh(F)
+    zero = lam <= max(tol, 1e-12 * max(1.0, float(lam[-1])))
+    loads = bool(zero.any()) and float(np.max(np.abs(V[0, zero]))) > 1e-8
+    return lam[~zero], V[:, ~zero], V[:, zero], loads
 
 
 def partial_id_bounds(blocks: PartialIdBlocks, tol: float = 1e-9) -> VarianceBounds:
-    """Sharp bounds on Var(B1) over all PSD completions of the blocks.
+    """Sharp bounds on Var(B1) over all PSD completions of the blocks, in closed form.
 
-    The feasible set in s is an interval because the PSD cone is convex and
-    the assembled matrix is affine in s.  The smallest eigenvalue of that
-    matrix is concave in s, so its maximizer is located by golden-section
-    search and the two endpoints by bisection, each to absolute precision
-    ``tol``.  A matrix counts as feasible when its smallest eigenvalue is
-    >= -tol; endpoints below 10 * tol are reported as exactly zero.
+    Ordered (B1; B0, B2'), the completion at Var(B1) = s is [[s, u(s)'], [u(s), F]]
+    with F = ``cov_b0_b2``, u(s) = u0 - (s/2) e1 and u0 = ((``var_b0_plus_b1`` -
+    F_00) / 2, ``cov_b1_b2``).  It is PSD exactly when u(s) lies in the range of F
+    and q(s) = s - u(s)'F+u(s) >= 0 (the Schur-complement test for one free
+    diagonal entry; Horn & Johnson, *Matrix Analysis*, 7.7).  From one
+    eigendecomposition of F, with the kernel of :func:`classify_randomness`:
+
+    * a kernel vector k adds the linear condition k'u(s) = 0, which pins s when
+      k loads on B0 and otherwise asks k'u0 = 0;
+    * on the range of F, q(s) = -(h_1/4) s^2 + (1 + g_1) s - u0'g with h = F+e1
+      and g = F+u0.  Its roots are the bounds: real exactly when a completion
+      exists, and nonnegative because q(s) <= s.
+
+    Conditions count as met within 10 * tol * max(1, max_i |u0_i|, s).  An upper
+    bound below 10 * tol gives FORCED_ZERO with bounds exactly (0, 0), a lower
+    bound above it FORCED_POSITIVE.
 
     Raises
     ------
     InfeasibleError
         If no s >= 0 admits a PSD completion.
+    DomainError
+        Unless ``tol`` is finite and positive.
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    v0 = blocks.cov_b0_b2[0, 0]
-    v01 = blocks.var_b0_plus_b1
-    # PSD of the (B0, B1) principal minor already forces
-    # s <= (sqrt(v0) + sqrt(v01))^2, so this bracket is always infeasible.
-    s_hi = (math.sqrt(max(v0, 0.0)) + math.sqrt(v01)) ** 2 + 1.0
-
-    best_s, best_f = 0.0, _feasibility_margin(blocks, 0.0)
-
-    def margin(s: float) -> float:
-        nonlocal best_s, best_f
-        f = _feasibility_margin(blocks, s)
-        if f > best_f:
-            best_s, best_f = s, f
-        return f
-
-    f_lo, f_hi = best_f, margin(s_hi)
-    lo, hi = 0.0, s_hi
-    a, b = lo + (1 - _GOLDEN) * (hi - lo), lo + _GOLDEN * (hi - lo)
-    f_a, f_b = margin(a), margin(b)
-    while hi - lo > tol / 4.0:
-        if f_a >= f_b:
-            hi, b, f_b = b, a, f_a
-            a = lo + (1 - _GOLDEN) * (hi - lo)
-            f_a = margin(a)
-        else:
-            lo, a, f_a = a, b, f_b
-            b = lo + _GOLDEN * (hi - lo)
-            f_b = margin(b)
-    if best_f < -tol:
-        raise InfeasibleError(
-            "no value of Var(B1) admits a PSD completion of the given blocks"
-        )
-
-    def bisect(feasible: float, infeasible: float) -> float:
-        while abs(infeasible - feasible) > tol:
-            mid = (feasible + infeasible) / 2.0
-            if _feasibility_margin(blocks, mid) >= -tol:
-                feasible = mid
-            else:
-                infeasible = mid
-        return feasible
-
-    lower = 0.0 if f_lo >= -tol else bisect(best_s, 0.0)
-    upper = bisect(best_s, s_hi) if f_hi < -tol else s_hi
-    lower, upper = max(lower, 0.0), max(upper, 0.0)
-    if upper < 10.0 * tol:
+    check_tol(tol)
+    F = blocks.cov_b0_b2
+    u0 = np.concatenate(([(blocks.var_b0_plus_b1 - F[0, 0]) / 2.0], blocks.cov_b1_b2))
+    lam, V, kernel, loads = _split_spectrum(F, tol)
+    c, a = V[0], u0 @ V  # e1 and u0 in the range eigenbasis
+    h1, g1, ug = float(c @ (c / lam)), float(c @ (a / lam)), float(a @ (a / lam))
+    slack, umax = 10.0 * tol, float(np.max(np.abs(u0)))
+    w, r = kernel[0], u0 @ kernel  # k'u(s) = r - (s/2) w, one entry per kernel vector
+    s = 2.0 * float(w @ r) / float(w @ w) if loads else 0.0
+    s = 0.0 if abs(s) < slack else s
+    allow = slack * max(1.0, umax, s)
+    b = 1.0 + g1
+    disc = b * b - h1 * ug  # h1 times the maximum of q
+    if s < 0.0 or np.any(np.abs(r - s / 2.0 * w) > allow) or (
+        s * b - h1 * s * s / 4.0 - ug < -allow if loads
+        else disc < -h1 * slack * max(1.0, umax, 2.0 * b / h1)
+    ):
+        raise InfeasibleError("no value of Var(B1) admits a PSD completion of the given blocks")
+    if loads:
+        lo = hi = s
+    else:
+        t = -0.5 * (b + math.copysign(math.sqrt(max(disc, 0.0)), b))
+        lo, hi = sorted((-4.0 * t / h1, -ug / t)) if t else (0.0, 0.0)
+    if hi < slack:
         return VarianceBounds(0.0, 0.0, Classification.FORCED_ZERO)
-    if lower > 10.0 * tol:
-        return VarianceBounds(lower, upper, Classification.FORCED_POSITIVE)
-    return VarianceBounds(lower, upper, Classification.INTERVAL)
+    lower = lo if lo > 0.0 else 0.0
+    cls = Classification.FORCED_POSITIVE if lower > slack else Classification.INTERVAL
+    return VarianceBounds(lower, hi, cls)
 
 
 def classify_randomness(blocks: PartialIdBlocks, tol: float = 1e-9) -> Classification:
@@ -426,21 +422,17 @@ def classify_randomness(blocks: PartialIdBlocks, tol: float = 1e-9) -> Classific
 
     FORCED_POSITIVE when Var(B0) differs from Var(B0 + B1) beyond ``tol``
     or some cross-covariance with the B2 block is nonzero.  FORCED_ZERO
-    when those all vanish and Cov((B0, B2')') is degenerate with a kernel
-    vector whose first coordinate is nonzero.  Otherwise INTERVAL, with the
-    attainable range available from :func:`partial_id_bounds`.
+    when those all vanish and Cov((B0, B2')') has a kernel vector k (an
+    eigenvalue <= max(tol, 1e-12 * max(1, lambda_max))) with |k_1| > 1e-8.
+    Otherwise INTERVAL, with the range available from :func:`partial_id_bounds`.
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     v0 = blocks.cov_b0_b2[0, 0]
     cross = blocks.cov_b1_b2
     if abs(v0 - blocks.var_b0_plus_b1) > tol or (
         cross.size and float(np.max(np.abs(cross))) > tol
     ):
         return Classification.FORCED_POSITIVE
-    eigvals, eigvecs = np.linalg.eigh(blocks.cov_b0_b2)
-    kernel_cut = max(tol, 1e-12 * max(1.0, float(eigvals[-1])))
-    kernel = eigvecs[:, eigvals <= kernel_cut]
-    if kernel.size and float(np.max(np.abs(kernel[0, :]))) > 1e-8:
+    if _split_spectrum(blocks.cov_b0_b2, tol)[3]:
         return Classification.FORCED_ZERO
     return Classification.INTERVAL

@@ -66,6 +66,21 @@ class TestIdentify:
         assert code == 1
         assert "coordinate 2" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
+    def test_bad_tol_exit_one(self, tmp_path, capsys, tol):
+        spec = write(tmp_path / "s.json", '{"supports": [[-1, 0, 1], [0, 1, 2]]}')
+        code, out, err = run_cli(["identify", "--spec", spec, f"--tol={tol}"], capsys)
+        assert (code, out) == (1, "")
+        assert "tol must be finite and positive" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_point_named(self, tmp_path, capsys, value):
+        spec = write(tmp_path / "s.json", f'{{"supports": [[0, 1, 2], [0, {value}, 2]]}}')
+        code, _, err = run_cli(["identify", "--spec", spec], capsys)
+        assert code == 1
+        assert "coordinate 2 has a non-finite support point" in err
+
     def test_duplicate_points_named(self, tmp_path, capsys):
         spec = write(tmp_path / "s.json", '{"supports": [[1, 1, 2]]}')
         code, _, err = run_cli(["identify", "--spec", spec], capsys)
@@ -116,6 +131,33 @@ class TestBounds:
         code, _, err = run_cli(["bounds", "--blocks", blocks], capsys)
         assert code == 1
         assert "min eigenvalue" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+    def test_bad_tol_exit_one(self, tmp_path, capsys, tol):
+        blocks = write(
+            tmp_path / "b.json",
+            '{"cov_b0_b2": [[1.0]], "cov_b1_b2": [], "var_b0_plus_b1": 1.0}',
+        )
+        code, out, err = run_cli(["bounds", "--blocks", blocks, f"--tol={tol}"], capsys)
+        assert (code, out) == (1, "")
+        assert "tol must be finite and positive" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"cov_b0_b2": [[NaN]], "var_b0_plus_b1": 1.0}', "cov_b0_b2"),
+            ('{"cov_b0_b2": [[1.0, 0.0], [0.0, 1.0]], "cov_b1_b2": [Infinity],'
+             ' "var_b0_plus_b1": 1.0}', "cov_b1_b2"),
+            ('{"cov_b0_b2": [[1.0]], "var_b0_plus_b1": NaN}', "var_b0_plus_b1"),
+            ('{"cov_b0_b2": [[1.0]], "var_b0_plus_b1": 1e999}', "var_b0_plus_b1"),
+        ],
+    )
+    def test_non_finite_field_named(self, tmp_path, capsys, text, field):
+        code, out, err = run_cli(["bounds", "--blocks", write(tmp_path / "b.json", text)], capsys)
+        assert (code, out) == (1, "")
+        assert f"rcreg: {field}" in err and "finite" in err
+        assert len(err.splitlines()) == 1
 
     def test_missing_field_exit_one(self, tmp_path, capsys):
         blocks = write(tmp_path / "b.json", '{"cov_b0_b2": [[1.0]]}')

@@ -122,6 +122,12 @@ def test_dimension_errors():
         numeric_rank(np.eye(2), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_numeric_rank_tol_must_be_finite_and_positive(tol):
+    with pytest.raises(DomainError, match="tol must be finite and positive"):
+        numeric_rank(np.eye(2), tol=tol)
+
+
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_quadratic_form_identity(p, seed):

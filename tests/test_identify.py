@@ -1,6 +1,9 @@
 """Support-based identifiability: design ranks, witness points, mixed moments."""
 
 import itertools
+import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +118,17 @@ class TestCheckIdentified:
         spec = SupportSpec(((0.0, 1.0), (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)))
         with pytest.raises(ExplosionError):
             check_identified(spec, product_cap=11)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    @pytest.mark.parametrize("supports", [((0.0, 1.0, 2.0),), ((0.0, 1.0), (0.0, 1.0, 2.0))])
+    def test_rank_tol_must_be_finite_and_positive(self, supports, tol):
+        with pytest.raises(DomainError, match="tol must be finite and positive"):
+            check_identified(SupportSpec(supports), rank_tol=tol)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_support_point_names_the_coordinate(self, bad):
+        with pytest.raises(DomainError, match="coordinate 2"):
+            SupportSpec(((0.0, 1.0, 2.0), (0.0, bad, 2.0)))
 
     def test_report_consistency(self):
         rep = check_identified(SupportSpec(((0.0, 1.0), (0.0, 1.0, 2.0))))
@@ -254,3 +268,15 @@ class TestMixedMoments:
         got = mixed_moments_single_regressor(support, cond, order)
         want = _brute_force_mixed_moments(atoms, probs, order)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_identification_alone_loads_neither_estimation_nor_multiprocessing():
+    probe = (
+        "import sys, rcreg; "
+        "rcreg.partial_id_bounds(rcreg.PartialIdBlocks(cov_b0_b2=[[1.0]], var_b0_plus_b1=1.0)); "
+        "print(sorted(m for m in ('rcreg.estimate', 'rcreg.simulate', 'multiprocessing') "
+        "if m in sys.modules)); "
+        "print(rcreg.SimConfig is __import__('rcreg.simulate').simulate.SimConfig)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]

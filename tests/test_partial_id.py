@@ -1,5 +1,7 @@
 """Sharp Var(B1) bounds over PSD completions, against a dense grid oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,53 @@ def random_blocks(rng, p, scale=0.6):
     return PartialIdBlocks(
         cov_b0_b2=C, cov_b1_b2=cross, var_b0_plus_b1=max(v01, 0.0)
     )
+
+
+def class_blocks(rng, p, kind):
+    """Blocks whose Var(B1) class is ``kind``, drawn as the identify_bounds benchmark draws them.
+
+    FORCED_POSITIVE: a random PD covariance with |Var(B0 + B1) - Var(B0)| >= 0.05.
+    INTERVAL: B1 uncorrelated with B2, Var(B0 + B1) = Var(B0), and a (B0, B2)
+    block with smallest eigenvalue >= 1e-3.  FORCED_ZERO: as INTERVAL but with
+    a singular (B0, B2) block whose kernel loads on B0.
+    """
+    q = p - 1
+    if kind is Classification.FORCED_POSITIVE:
+        while True:
+            A = rng.normal(size=(p, p + 2))
+            S = A @ A.T / (p + 2)
+            keep = [0, *range(2, p)]
+            v01 = S[0, 0] + S[1, 1] + 2.0 * S[0, 1]
+            if abs(v01 - S[0, 0]) >= 0.05 and (p == 2 or np.max(np.abs(S[1, 2:])) > 0.05):
+                return PartialIdBlocks(
+                    cov_b0_b2=S[np.ix_(keep, keep)], cov_b1_b2=S[1, 2:], var_b0_plus_b1=v01
+                )
+    rank = q if kind is Classification.INTERVAL else q - 1
+    while True:
+        B = rng.normal(size=(q, rank))
+        C = B @ B.T / max(rank, 1)
+        if kind is Classification.INTERVAL:
+            if np.linalg.eigvalsh(C)[0] >= 1e-3:
+                break
+        elif q == 1 or abs(np.linalg.svd(B.T)[2][-1][0]) > 0.1:
+            break
+    C = (C + C.T) / 2.0
+    return PartialIdBlocks(cov_b0_b2=C, cov_b1_b2=np.zeros(q - 1), var_b0_plus_b1=C[0, 0])
+
+
+def rotate_b2(F, seed):
+    """F with its B2 coordinates rotated by a random orthogonal matrix (B0 fixed)."""
+    q = F.shape[0]
+    Q = np.eye(q)
+    Q[1:, 1:] = np.linalg.qr(np.random.default_rng(seed).normal(size=(q - 1, q - 1)))[0]
+    return Q @ F @ Q.T, Q
+
+
+def assert_matches_grid(blocks, b):
+    oracle = grid_scan(blocks)
+    assert oracle is not None
+    assert b.lower == pytest.approx(oracle[0], abs=2e-4)
+    assert b.upper == pytest.approx(oracle[1], abs=2e-4)
 
 
 class TestAnalyticCases:
@@ -129,6 +178,129 @@ class TestRandomizedOracle:
                 assert min_eigenvalue(assemble_covariance(blocks, b.upper + 0.01)) < 0
 
 
+class TestPointSets:
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_var_of_sum_zero_pins_var_b0(self, p):
+        # Var(B0 + B1) = 0 forces B1 = -B0: a zero discriminant, which
+        # rounding can push just below 0.
+        rng = np.random.default_rng(p)
+        for _ in range(40):
+            F = random_blocks(rng, p, scale=rng.uniform(0.1, 10.0)).cov_b0_b2
+            blocks = PartialIdBlocks(cov_b0_b2=F, cov_b1_b2=-F[0, 1:], var_b0_plus_b1=0.0)
+            b = partial_id_bounds(blocks)
+            assert b.lower == pytest.approx(F[0, 0], rel=1e-6)
+            assert b.upper == pytest.approx(F[0, 0], rel=1e-6)
+            assert b.classification is Classification.FORCED_POSITIVE
+
+
+class TestSingularF:
+    """Kernel branches of the closed form, each against the grid oracle."""
+
+    # (B0, B2) = z (1, 2): kernel (2, -1)/sqrt(5) loads on B0 and pins
+    # Var(B1) = var_b0_plus_b1 - 1 - cov_b1_b2.
+    F_RANK1 = np.array([[1.0, 2.0], [2.0, 4.0]])
+
+    @pytest.mark.parametrize("beta, sigma2", [(0.5, 0.3), (-0.4, 0.2), (0.0, 0.7)])
+    def test_kernel_on_b0_pins_a_point(self, beta, sigma2):
+        # B1 = beta z + e with Var(e) = sigma2, so Var(B1) = beta^2 + sigma2.
+        s_true = beta**2 + sigma2
+        blocks = PartialIdBlocks(
+            cov_b0_b2=self.F_RANK1, cov_b1_b2=np.array([2.0 * beta]),
+            var_b0_plus_b1=1.0 + 2.0 * beta + s_true,
+        )
+        b = partial_id_bounds(blocks)
+        assert b.lower == b.upper == pytest.approx(s_true, abs=1e-12)
+        assert b.classification is Classification.FORCED_POSITIVE
+        assert_matches_grid(blocks, b)
+
+    @pytest.mark.parametrize("F", [np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((1, 1))])
+    def test_kernel_on_b0_pins_zero(self, F):
+        blocks = PartialIdBlocks(
+            cov_b0_b2=F, cov_b1_b2=np.zeros(F.shape[0] - 1), var_b0_plus_b1=F[0, 0]
+        )
+        b = partial_id_bounds(blocks)
+        assert (b.lower, b.upper) == (0.0, 0.0)
+        assert b.classification is Classification.FORCED_ZERO
+        assert_matches_grid(blocks, b)
+
+    @pytest.mark.parametrize("delta", [-1e-12, 1e-12])
+    def test_pinned_value_within_tol_of_zero_is_exactly_zero(self, delta):
+        blocks = PartialIdBlocks(
+            cov_b0_b2=self.F_RANK1, cov_b1_b2=np.zeros(1), var_b0_plus_b1=1.0 + delta
+        )
+        b = partial_id_bounds(blocks)
+        assert (b.lower, b.upper, b.classification) == (0.0, 0.0, Classification.FORCED_ZERO)
+        assert_matches_grid(blocks, b)
+
+    def test_degenerate_b0_pins_var_of_sum(self):
+        # Var(B0) = 0, so Var(B1) = Var(B0 + B1).
+        blocks = PartialIdBlocks(
+            cov_b0_b2=np.zeros((1, 1)), cov_b1_b2=np.zeros(0), var_b0_plus_b1=1.5
+        )
+        b = partial_id_bounds(blocks)
+        assert b.lower == b.upper == 1.5
+        assert_matches_grid(blocks, b)
+
+    @pytest.mark.parametrize(
+        "F, cross, v01",
+        [
+            # pinned s = 1 - 1 - 0.5 < 0
+            (np.array([[1.0, 2.0], [2.0, 4.0]]), [0.5], 1.0),
+            # pinned s = 0.5, but Cov(B1, z)^2 = 1 > 0.5: q(s) < 0
+            (np.array([[1.0, 2.0], [2.0, 4.0]]), [2.0], 3.5),
+            # (B0, B2) = z (1, 1, 1): two kernel vectors pin different values
+            (np.ones((3, 3)), [0.2, 0.4], 2.0),
+        ],
+    )
+    def test_kernel_on_b0_inconsistent(self, F, cross, v01):
+        blocks = PartialIdBlocks(
+            cov_b0_b2=F, cov_b1_b2=np.array(cross), var_b0_plus_b1=v01
+        )
+        with pytest.raises(InfeasibleError, match="PSD completion"):
+            partial_id_bounds(blocks)
+        assert grid_scan(blocks) is None
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kernel_off_b0_with_cross_covariance_infeasible(self, seed):
+        # Var of a B2 combination is 0 but its covariance with B1 is not.
+        F, Q = rotate_b2(np.diag([1.0, 0.8, 0.0]), seed)
+        cross = (Q @ np.array([0.0, 0.1, 0.3]))[1:]
+        blocks = PartialIdBlocks(cov_b0_b2=F, cov_b1_b2=cross, var_b0_plus_b1=1.4)
+        with pytest.raises(InfeasibleError, match="PSD completion"):
+            partial_id_bounds(blocks)
+        assert grid_scan(blocks) is None
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kernel_off_b0_leaves_the_range_quadratic(self, seed):
+        F, Q = rotate_b2(np.diag([1.0, 0.8, 0.0]), seed)
+        cross = (Q @ np.array([0.0, 0.3, 0.0]))[1:]
+        blocks = PartialIdBlocks(cov_b0_b2=F, cov_b1_b2=cross, var_b0_plus_b1=1.7)
+        b = partial_id_bounds(blocks)
+        assert b.classification is Classification.FORCED_POSITIVE
+        assert b.lower < b.upper
+        assert_matches_grid(blocks, b)
+        assert classify_randomness(blocks) is Classification.FORCED_POSITIVE
+
+    @pytest.mark.parametrize("lam_min, point", [(5e-9, False), (3e-9, False), (5e-10, True)])
+    def test_near_singular_f_either_side_of_the_cut(self, lam_min, point):
+        # Smallest eigenvector loads 0.6 on B0; at the default tol the cut is 1e-9.
+        k = np.array([0.6, 0.8, 0.0])
+        V = np.linalg.qr(np.column_stack([k, [0.0, 0.0, 1.0], [1.0, 0.3, 0.2]]))[0]
+        F = V @ np.diag([lam_min, 1.2, 0.7]) @ V.T
+        F = (F + F.T) / 2.0
+        s_true, x = 0.8, np.array([0.2, -0.1, 0.3])
+        u_true = F @ x  # Cov(B1; B0, B2) at Var(B1) = s_true, inside range(F)
+        blocks = PartialIdBlocks(
+            cov_b0_b2=F, cov_b1_b2=u_true[1:],
+            var_b0_plus_b1=F[0, 0] + s_true + 2.0 * u_true[0],
+        )
+        b = partial_id_bounds(blocks)
+        assert (b.lower == b.upper) is point
+        assert b.lower <= s_true + 1e-9 and b.upper >= s_true - 1e-9
+        assert b.classification is Classification.FORCED_POSITIVE
+        assert_matches_grid(blocks, b)
+
+
 class TestClassification:
     def test_unequal_variances(self):
         blocks = PartialIdBlocks(
@@ -154,6 +326,32 @@ class TestClassification:
         assert classify_randomness(blocks) is Classification.FORCED_ZERO
 
 
+class TestOneClassification:
+    """classify_randomness and partial_id_bounds decide the class the same way."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", list(Classification))
+    def test_agree_on_benchmark_style_blocks(self, p, kind):
+        rng = np.random.default_rng(100 * p + list(Classification).index(kind))
+        for _ in range(12):
+            blocks = class_blocks(rng, p, kind)
+            b = partial_id_bounds(blocks)
+            assert b.classification is kind
+            assert classify_randomness(blocks) is kind
+            if kind is Classification.FORCED_ZERO:
+                assert (b.lower, b.upper) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        blocks = PartialIdBlocks(
+            cov_b0_b2=np.array([[1.0]]), cov_b1_b2=np.zeros(0), var_b0_plus_b1=1.0
+        )
+        with pytest.raises(DomainError, match="tol"):
+            partial_id_bounds(blocks, tol=tol)
+        with pytest.raises(DomainError, match="tol"):
+            classify_randomness(blocks, tol=tol)
+
+
 class TestBlockValidation:
     def test_non_psd_rejected(self):
         with pytest.raises(DomainError):
@@ -174,3 +372,19 @@ class TestBlockValidation:
             PartialIdBlocks(
                 cov_b0_b2=np.eye(2), cov_b1_b2=np.zeros(3), var_b0_plus_b1=1.0
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["cov_b0_b2", "cov_b1_b2", "var_b0_plus_b1"])
+    def test_non_finite_value_names_the_field(self, field, bad):
+        kwargs = {
+            "cov_b0_b2": np.array([[1.0, 0.2], [0.2, 1.0]]),
+            "cov_b1_b2": np.array([0.1]),
+            "var_b0_plus_b1": 1.4,
+        }
+        if field == "var_b0_plus_b1":
+            kwargs[field] = bad
+        else:
+            kwargs[field] = kwargs[field].copy()
+            kwargs[field].flat[-1] = bad
+        with pytest.raises(DomainError, match=field):
+            PartialIdBlocks(**kwargs)
