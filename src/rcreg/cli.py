@@ -14,12 +14,13 @@ import json
 import math
 import os
 import sys
+import warnings
 from enum import Enum
 
 import numpy as np
 
 from .errors import RcregError
-# build_second_stage, fit_moments, ols: unused, kept for perfbench/tracing.py.
+# Unused names here are kept for perfbench/tracing.py, which wraps them.
 from .estimate import (  # noqa: F401
     Dataset,
     SecondStage,
@@ -149,38 +150,41 @@ def _cmd_bounds(args) -> int:
 
 
 def _read_dataset_csv(path: str) -> Dataset:
+    """numpy parses the body; input it refuses, or that has no rows, the wrong width or a
+    non-finite value, is read again by a line-numbered ``csv`` scan that names the line."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise RcregError(f"{path}: {exc.strerror or exc}") from exc
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise RcregError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
         if not header or header[0] != "y" or len(header) < 2:
             raise RcregError(
                 f"{path}: header must be 'y,w1,...,w{{p-1}}', got {','.join(header)!r}"
             )
-        rows = []
-        line_nos = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
+        try:
+            with warnings.catch_warnings():  # a header-only file warns "no data"
+                warnings.simplefilter("ignore", UserWarning)
+                arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            arr = np.empty((0, 0))
+        if arr.shape[0] and arr.shape[1] == len(header) and np.all(np.isfinite(arr)):
+            return Dataset.from_covariates(arr[:, 1:], arr[:, 0])
+        fh.seek(0)
+        rows, line_nos = [], []
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            if line_no == 1 or not row:  # the header, checked above, or a blank line
                 continue
             if len(row) != len(header):
-                raise RcregError(
-                    f"{path}: row at line {line_no} has {len(row)} fields, "
-                    f"expected {len(header)}"
-                )
+                raise RcregError(f"{path}: row at line {line_no} has {len(row)} fields, "
+                                 f"expected {len(header)}")
             try:
-                values = [float(v) for v in row]
+                rows.append([float(v) for v in row])
             except ValueError:
-                raise RcregError(
-                    f"{path}: malformed numeric value at line {line_no}"
-                ) from None
-            rows.append(values)
+                raise RcregError(f"{path}: malformed numeric value at line {line_no}") from None
             line_nos.append(line_no)
     if not rows:
         raise RcregError(f"{path}: no data rows")
@@ -195,15 +199,15 @@ def _fit_path(stage: SecondStage, pick: bool):
     """Exact second-stage path on a 50-point grid below lmax, and its BIC pick.
 
     BIC (a data-only heuristic) is evaluated only when ``pick``; the pick is
-    an index into the grid, 0 otherwise.
+    an index into the grid, 0 otherwise.  RSS/n = y'y/n + beta'(G beta - 2b).
     """
-    lmax = lambda_max(stage.ysig, stage.xsig, stage.init, stage.penalize_mask)
+    lmax = stage.lambda_max()
     grid = np.geomspace(lmax, lmax * 1e-4, 50) if lmax > 0 else np.zeros(1)
-    sols = lambda_path(stage.ysig, stage.xsig, stage.config(0.0), grid)
-    n, best, best_bic = stage.ysig.shape[0], 0, math.inf
+    sols = stage.path(grid)
+    n, yy, best, best_bic = stage.ysig.size, float(stage.ysig @ stage.ysig), 0, math.inf
     for k, sol in enumerate(sols if pick else []):
-        rss = float(np.sum((stage.ysig - stage.xsig @ sol.beta) ** 2))
-        bic = n * math.log(max(rss, 1e-300) / n) + math.log(n) * sol.active_set.size
+        mse = yy / n + float(sol.beta @ (stage.G @ sol.beta - 2.0 * stage.b))
+        bic = n * math.log(max(mse, 1e-300 / n)) + math.log(n) * sol.active_set.size
         if bic < best_bic:
             best, best_bic = k, bic
     return grid, sols, best

@@ -187,28 +187,30 @@ def ols(Y, X) -> np.ndarray:
     which that rule never rejects; it is solved from G, plus one step of
     iterative refinement, which undoes the squared conditioning.
     """
+    return _ols(*_cross(Y, X, "least squares"))
+
+
+def _cross(Y, X, use: str = "the lasso solver"):
+    """``(X, Y, X'X, X'Y)`` as float arrays: the one place an n-row Gram is formed."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float).reshape(-1)
     if X.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise DimensionError(
-            f"incompatible shapes X {X.shape}, Y {Y.shape} for least squares"
-        )
-    if X.shape[0] < X.shape[1]:
-        raise SingularDesignError(
-            f"design with shape {X.shape} is rank deficient; cannot solve"
-        )
-    G = X.T @ X
-    if X.shape[1] and np.all(np.isfinite(G)):
-        w = np.linalg.eigvalsh(G)
-        if w[0] > 1e-8 * w[-1]:
-            beta = np.linalg.solve(G, X.T @ Y)
-            return beta + np.linalg.solve(G, X.T @ (Y - X @ beta))
-    beta, _, _, svals = np.linalg.lstsq(X, Y, rcond=None)
-    if svals.size == 0 or np.count_nonzero(svals > 1e-10 * svals[0]) < X.shape[1]:
-        raise SingularDesignError(
-            f"design with shape {X.shape} is rank deficient; cannot solve"
-        )
-    return beta
+        raise DimensionError(f"incompatible shapes X {X.shape}, Y {Y.shape} for {use}")
+    return X, Y, X.T @ X, X.T @ Y
+
+
+def _ols(X, Y, G, c) -> np.ndarray:
+    """:func:`ols` given the cross products ``G = X'X`` and ``c = X'Y``."""
+    if X.shape[0] >= X.shape[1]:
+        if X.shape[1] and np.all(np.isfinite(G)):
+            w = np.linalg.eigvalsh(G)
+            if w[0] > 1e-8 * w[-1]:
+                beta = np.linalg.solve(G, c)
+                return beta + np.linalg.solve(G, X.T @ (Y - X @ beta))
+        beta, _, _, svals = np.linalg.lstsq(X, Y, rcond=None)
+        if svals.size and np.count_nonzero(svals > 1e-10 * svals[0]) == X.shape[1]:
+            return beta
+    raise SingularDesignError(f"design with shape {X.shape} is rank deficient; cannot solve")
 
 
 def build_second_stage(data: Dataset, mu_hat) -> SecondStageDesign:
@@ -226,7 +228,8 @@ def build_second_stage(data: Dataset, mu_hat) -> SecondStageDesign:
 class SecondStage:
     """Stage two of one dataset: first-stage fit ``mu_hat``, squared residuals
     ``ysig`` on design ``xsig``, their least squares fit ``init`` (weights
-    1/|init|) and ``penalize_mask``.  The intercept variance (position 0) is
+    1/|init|), ``penalize_mask`` and their Gram form ``G``, ``b``, formed once
+    and read by the solver methods.  The intercept variance (position 0) is
     unpenalized unless requested: the intercept coefficient soaks up any
     additive error term, so shrinking its variance to zero is rarely wanted.
     """
@@ -236,6 +239,8 @@ class SecondStage:
     xsig: np.ndarray
     init: np.ndarray
     penalize_mask: np.ndarray
+    G: np.ndarray
+    b: np.ndarray
 
     @classmethod
     def from_data(cls, data: Dataset, penalize_intercept_variance: bool = False) -> "SecondStage":
@@ -250,10 +255,19 @@ class SecondStage:
         design = build_second_stage(data, mu_hat)
         mask = np.ones(d, dtype=bool)
         mask[0] = penalize_intercept_variance
-        return cls(mu_hat, design.ysig, design.xsig, ols(design.ysig, design.xsig), mask)
+        cross = _cross(design.ysig, design.xsig)
+        return cls(mu_hat, design.ysig, design.xsig, _ols(*cross), mask, *_gram(*cross))
 
     def config(self, lam: float, tol: float = 1e-8, max_iter: int = 100_000) -> AdaLassoConfig:
         return AdaLassoConfig(lam, self.init, self.penalize_mask, tol, max_iter)
+
+    def lambda_max(self) -> float:
+        """:func:`lambda_max` of this stage."""
+        return _lambda_max(self.G, self.b, self.config(0.0))
+
+    def path(self, grid, tol: float = 1e-8, max_iter: int = 100_000) -> list[LassoSolution]:
+        """:func:`lambda_path` of this stage."""
+        return _walk(self.G, self.b, self.config(0.0, tol, max_iter), grid)
 
     def moment_fit(self, sol: LassoSolution) -> MomentFit:
         """Moments from a solution; :class:`ConvergenceError` unless it converged."""
@@ -297,15 +311,9 @@ def _resolve_config(cfg: AdaLassoConfig, d: int):
     return lam, scale, excluded
 
 
-def _gram(Y, X):
-    """Validated Gram form ``(X'X/n, X'Y/n)`` of the least squares loss."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float).reshape(-1)
-    if X.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise DimensionError(f"incompatible shapes X {X.shape}, Y {Y.shape} for the lasso solver")
-    n = X.shape[0]
-    G = (X.T @ X) / n
-    b = (X.T @ Y) / n
+def _gram(X, Y, G, c):
+    """Validated Gram form ``(X'X/n, X'Y/n)`` of the least squares loss, from :func:`_cross`."""
+    G, b = G / X.shape[0], c / X.shape[0]
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(b))):
         raise DomainError("the lasso solver needs finite X and Y")
     return G, b
@@ -426,16 +434,27 @@ def _segments(G, b, scale, excluded):
         hi = lo
 
 
-def _walk(G, b, scale, excluded, grid, tol, max_iter) -> list[LassoSolution]:
-    """Solutions at the descending levels ``grid`` from one walk down the path.
+def _walk(G, b, cfg: AdaLassoConfig, grid=None) -> list[LassoSolution]:
+    """Solutions at the descending levels ``grid`` (``[cfg.lam]`` if None) from
+    one walk down the path of the Gram form ``(G, b)``.
 
     A level is read off the first segment that reaches it.  After
-    ``max_iter`` breakpoints the walk stops; later levels get the exact
+    ``cfg.max_iter`` breakpoints the walk stops; later levels get the exact
     solution at the last breakpoint, with ``converged=False``.
     """
+    lam, scale, excluded = _resolve_config(cfg, G.shape[0])
+    grid = np.asarray([lam] if grid is None else grid, dtype=float).reshape(-1)
+    if grid.size == 0:
+        raise DimensionError("lambda grid must be nonempty")
+    if not np.all(np.isfinite(grid)):
+        raise DomainError("lambda grid must be finite")
+    if np.any(np.diff(grid) > 0):
+        raise DomainError("lambda grid must be sorted in descending order")
+    if grid[-1] < 0.0:
+        raise DomainError(f"lambda must be nonnegative, got {grid[-1]}")
     segments = _segments(G, b, scale, excluded)
     seg = next(segments)
-    budget = max_iter
+    budget = cfg.max_iter
     solutions = []
     for lam in grid:
         lam = float(lam)
@@ -450,7 +469,7 @@ def _walk(G, b, scale, excluded, grid, tol, max_iter) -> list[LassoSolution]:
         kkt = float(_violations(grad, beta, lam / scale, ~excluded).max(initial=0.0))
         solutions.append(LassoSolution(
             beta=beta, active_set=np.flatnonzero(beta != 0.0), kkt_residual=kkt,
-            iterations=steps, converged=reached and kkt <= tol, lam=lam,
+            iterations=steps, converged=reached and kkt <= cfg.tol, lam=lam,
         ))
     return solutions
 
@@ -465,9 +484,7 @@ def adaptive_lasso(Y, X, cfg: AdaLassoConfig) -> LassoSolution:
     last one with ``converged=False`` rather than raising; a numerically
     singular active Gram raises :class:`SingularGramError`.
     """
-    G, b = _gram(Y, X)
-    lam, scale, excluded = _resolve_config(cfg, G.shape[0])
-    return _walk(G, b, scale, excluded, [lam], cfg.tol, cfg.max_iter)[0]
+    return _walk(*_gram(*_cross(Y, X)), cfg)[0]
 
 
 def lambda_max(Y, X, init, penalize_mask=None) -> float:
@@ -476,8 +493,11 @@ def lambda_max(Y, X, init, penalize_mask=None) -> float:
     It is the first breakpoint of the exact path, computed by the same code,
     so a :func:`lambda_path` grid that starts at it gives exact zeros there.
     """
-    G, b = _gram(Y, X)
     cfg = AdaLassoConfig(lam=0.0, init=init, penalize_mask=penalize_mask)
+    return _lambda_max(*_gram(*_cross(Y, X)), cfg)
+
+
+def _lambda_max(G, b, cfg: AdaLassoConfig) -> float:
     _, scale, excluded = _resolve_config(cfg, G.shape[0])
     return float(next(_segments(G, b, scale, excluded)).lo)
 
@@ -488,18 +508,7 @@ def lambda_path(Y, X, cfg: AdaLassoConfig, grid) -> list[LassoSolution]:
     One walk down the exact path serves the whole grid; ``cfg.lam`` is
     ignored and ``cfg.max_iter`` bounds the walk's breakpoints.
     """
-    grid = np.asarray(grid, dtype=float).reshape(-1)
-    if grid.size == 0:
-        raise DimensionError("lambda grid must be nonempty")
-    if not np.all(np.isfinite(grid)):
-        raise DomainError("lambda grid must be finite")
-    if np.any(np.diff(grid) > 0):
-        raise DomainError("lambda grid must be sorted in descending order")
-    if grid[-1] < 0.0:
-        raise DomainError(f"lambda must be nonnegative, got {grid[-1]}")
-    G, b = _gram(Y, X)
-    _, scale, excluded = _resolve_config(cfg, G.shape[0])
-    return _walk(G, b, scale, excluded, grid, cfg.tol, cfg.max_iter)
+    return _walk(*_gram(*_cross(Y, X)), cfg, grid)
 
 
 def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> WitnessReport:
@@ -598,8 +607,7 @@ def fit_moments(
     Raises :class:`ConvergenceError` if the solver stops short of ``lambda_sigma`` or ``tol``.
     """
     stage = SecondStage.from_data(data, penalize_intercept_variance)
-    sol = adaptive_lasso(stage.ysig, stage.xsig, stage.config(lambda_sigma, tol, max_iter))
-    return stage.moment_fit(sol)
+    return stage.moment_fit(_walk(stage.G, stage.b, stage.config(lambda_sigma, tol, max_iter))[0])
 
 
 def select_means(

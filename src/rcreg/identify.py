@@ -129,12 +129,16 @@ class PartialIdBlocks:
     var_b0_plus_b1: float = 0.0
 
     def __post_init__(self):
-        C = np.asarray(self.cov_b0_b2, dtype=float)
-        r = np.asarray(self.cov_b1_b2, dtype=float).reshape(-1)
-        v = float(self.var_b0_plus_b1)
-        for name, x in (("cov_b0_b2", C), ("cov_b1_b2", r), ("var_b0_plus_b1", v)):
-            if not np.all(np.isfinite(x)):
-                raise DomainError(f"{name} has a non-finite value")
+        fields = []
+        for name in ("cov_b0_b2", "cov_b1_b2", "var_b0_plus_b1"):
+            try:
+                x = np.asarray(getattr(self, name))
+            except ValueError:  # ragged nesting
+                x = np.asarray(None)
+            if x.dtype.kind not in "iuf" or not np.all(np.isfinite(x)):
+                raise DomainError(f"{name} must hold finite numbers only")
+            fields.append(x.astype(float))
+        C, r, v = fields
         if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] < 1:
             raise DimensionError(f"cov_b0_b2 must be square, got shape {C.shape}")
         scale = max(1.0, float(np.max(np.abs(C))) if C.size else 1.0)
@@ -146,15 +150,15 @@ class PartialIdBlocks:
             raise DomainError(
                 f"cov_b0_b2 is not positive semidefinite (min eigenvalue {lam:.3e})"
             )
-        if r.shape[0] != C.shape[0] - 1:
+        if r.size != C.shape[0] - 1:
             raise DimensionError(
-                f"cov_b1_b2 must have length {C.shape[0] - 1}, got {r.shape[0]}"
+                f"cov_b1_b2 must have length {C.shape[0] - 1}, got {r.size}"
             )
-        if v < 0:
-            raise DomainError(f"var_b0_plus_b1 must be nonnegative, got {v}")
+        if v.ndim or v < 0:
+            raise DomainError(f"var_b0_plus_b1 must be a nonnegative number, got {v}")
         object.__setattr__(self, "cov_b0_b2", C)
-        object.__setattr__(self, "cov_b1_b2", r)
-        object.__setattr__(self, "var_b0_plus_b1", v)
+        object.__setattr__(self, "cov_b1_b2", r.reshape(-1))
+        object.__setattr__(self, "var_b0_plus_b1", float(v))
 
     @property
     def p(self) -> int:

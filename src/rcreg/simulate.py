@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, RcregError
-# build_second_stage, ols: unused here, kept for perfbench/tracing.py.
+# Unused names here are kept for perfbench/tracing.py, which wraps them.
 from .estimate import (  # noqa: F401
     Dataset,
     SecondStage,
@@ -246,8 +246,7 @@ def run_replication(cfg: SimConfig, rep_index: int) -> RepResult:
 
 def _path_hits(cfg: SimConfig, stage: SecondStage, grid, target: int) -> np.ndarray:
     """1 at each grid level whose solution has ``target`` penalized nonzeros."""
-    path_cfg = stage.config(0.0, cfg.solver_tol, cfg.solver_max_iter)
-    sols = lambda_path(stage.ysig, stage.xsig, path_cfg, grid)
+    sols = stage.path(grid, cfg.solver_tol, cfg.solver_max_iter)
     mask = stage.penalize_mask
     return np.array([np.count_nonzero(s.beta[mask]) == target for s in sols], dtype=int)
 
@@ -271,7 +270,7 @@ def tune_lambda(cfg: SimConfig, workers: int | None = None) -> TuneResult:
     """
     first = SecondStage.from_data(dgp_sample(cfg, 0, stream=_STREAM_PILOT))
     target = int(np.count_nonzero(true_moments(cfg)[1][first.penalize_mask]))
-    lmax = lambda_max(first.ysig, first.xsig, first.init, first.penalize_mask)
+    lmax = first.lambda_max()
     if lmax <= 0.0:
         return TuneResult(lam=0.0, fallback=True, grid=np.zeros(1), hits=np.zeros(1, int))
     grid = np.geomspace(lmax, lmax * 1e-4, cfg.grid_size)

@@ -165,6 +165,21 @@ class TestBounds:
         assert code == 1
         assert "var_b0_plus_b1" in err
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"cov_b0_b2": [[1.0]], "var_b0_plus_b1": [1.0]}', "var_b0_plus_b1"),
+        ('{"cov_b0_b2": [[1.0]], "var_b0_plus_b1": null}', "var_b0_plus_b1"),
+        ('{"cov_b0_b2": [[1.0]], "var_b0_plus_b1": "1.0"}', "var_b0_plus_b1"),
+        ('{"cov_b0_b2": {"a": 1}, "var_b0_plus_b1": 1.0}', "cov_b0_b2"),
+        ('{"cov_b0_b2": [[1.0], [1.0, 2.0]], "var_b0_plus_b1": 1.0}', "cov_b0_b2"),
+        ('{"cov_b0_b2": [[1.0, 0.0], [0.0, 1.0]], "cov_b1_b2": [null],'
+         ' "var_b0_plus_b1": 1.0}', "cov_b1_b2"),
+    ])
+    def test_non_numeric_field_named(self, tmp_path, capsys, text, field):
+        code, out, err = run_cli(["bounds", "--blocks", write(tmp_path / "b.json", text)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"rcreg: {field} ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
 
 def _noiseless_csv(tmp_path, n=120, seed=0):
     rng = np.random.default_rng(seed)
@@ -181,6 +196,42 @@ def _random_coefficient_csv(tmp_path, n=800, p=5, seed=1):
     lines = ["y," + ",".join(f"w{k}" for k in range(1, p))]
     lines += [",".join(repr(float(v)) for v in row) for row in rows]
     return write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+
+
+_ROWS = [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body, expected", [
+    ("y,w1\n1,2\n\n3,4\n", _ROWS),
+    ("y,w1\n1,2\n   \n3,4\n", "row at line 3 has 1 fields, expected 2"),
+    ("y,w1\r\n1,2\r\n3,4\r\n", _ROWS),
+    ('y,w1\n"1",2\n3,4\n', _ROWS),
+    ("y,w1\n1,2\n#3,4\n", "malformed numeric value at line 3"),
+    ("y,w1\n 1 , 2 \n3,4\n", _ROWS),
+    ("y,w1\n1_0,2\n3,4\n", [[10.0, 2.0], [3.0, 4.0]]),
+    ("y,w1\n1,2,\n3,4\n", "row at line 2 has 3 fields, expected 2"),
+    ("y,w1\n1,2\n3,\n", "malformed numeric value at line 3"),
+    ("y,w1\n1,2\nnan,4\n", "non-finite value at line 3"),
+    ("y,w1\n1,2\n3,Infinity\n", "non-finite value at line 3"),
+    ("y,w1\n0x1p3,2\n3,4\n", "malformed numeric value at line 2"),
+    ("y,w1\n1,2\n3,4", _ROWS),
+    ("y,w1\n", "no data rows"),
+    ("\ufeffy,w1\n1,2\n3,4\n", f"header must be 'y,w1,...,w{{p-1}}', got {chr(0xFEFF) + 'y,w1'!r}"),
+    ("y,w1\n1,2\n", None),
+], ids=["blank", "whitespace", "crlf", "quoted", "hash", "padded", "underscore",
+        "trailing-comma", "empty-field", "nan", "infinity", "hex", "no-final-newline",
+        "header-only", "bom", "single-row"])
+def test_csv_reader_contract(tmp_path, capsys, body, expected):
+    """What ``rcreg fit`` reads from a CSV, and the one stderr line it gives otherwise."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(body.encode("utf-8"))
+    if isinstance(expected, list):
+        data = cli._read_dataset_csv(str(path))
+        assert np.column_stack([data.Y, data.X[:, 1:]]).tolist() == expected
+        return
+    line = f"rcreg: {path}: {expected}" if expected else "rcreg: need n >= p, got n=1, p=2"
+    assert run_cli(["fit", "--data", str(path), "--lambda", "0"], capsys) == (1, "", line + "\n")
 
 
 class TestFit:
@@ -281,6 +332,43 @@ class TestFit:
             ["fit", "--data", data, "--auto", "--path-csv", str(tmp_path / "path.csv")], capsys
         )
         assert code == 0 and len(calls) == 1
+
+    def test_auto_with_path_forms_one_second_stage_gram(self, tmp_path, capsys, monkeypatch):
+        data = _random_coefficient_csv(tmp_path, n=800, p=5)
+        shapes = []
+        cross = rcreg.estimate._cross
+
+        def counted(Y, X, *use):
+            shapes.append(np.shape(X))
+            return cross(Y, X, *use)
+
+        monkeypatch.setattr(rcreg.estimate, "_cross", counted)
+        code, _, _ = run_cli(
+            ["fit", "--data", data, "--auto", "--path-csv", str(tmp_path / "path.csv")], capsys
+        )
+        assert code == 0 and shapes == [(800, 5), (800, 15)]
+
+    @pytest.mark.parametrize("penalize", [False, True])
+    @pytest.mark.parametrize("n, p", [(800, 5), (3000, 6), (20_000, 8), (60_000, 10)])
+    def test_gram_form_bic_picks_as_the_direct_rss(self, n, p, penalize):
+        for seed in range(1, 6):
+            data = rcreg.dgp_sample(rcreg.SimConfig(n=n, p=p, seed=seed), 0)
+            stage = rcreg.SecondStage.from_data(data, penalize)
+            _, sols, best = cli._fit_path(stage, pick=True)
+            bic = [n * np.log(max(np.sum((stage.ysig - stage.xsig @ s.beta) ** 2), 1e-300) / n)
+                   + np.log(n) * s.active_set.size for s in sols]
+            assert best == int(np.argmin(bic)), (seed, best, int(np.argmin(bic)))
+
+    def test_clean_csv_takes_the_numpy_path(self, tmp_path, monkeypatch):
+        data = _random_coefficient_csv(tmp_path, n=50)
+        readers = []
+        reader = cli.csv.reader
+        monkeypatch.setattr(cli.csv, "reader", lambda fh: readers.append(1) or reader(fh))
+        parsed = cli._read_dataset_csv(data)
+        lines = (tmp_path / "d.csv").read_text(encoding="utf-8").splitlines()[1:]
+        expected = np.array([[float(v) for v in line.split(",")] for line in lines])
+        assert len(readers) == 1
+        assert np.array_equal(np.column_stack([parsed.Y, parsed.X[:, 1:]]), expected)
 
     def test_bad_header_rejected(self, tmp_path, capsys):
         data = write(tmp_path / "d.csv", "resp,w1\n1.0,2.0\n")

@@ -20,12 +20,16 @@ from rcreg import (
     DomainError,
     LassoSolution,
     MomentFit,
+    SecondStage,
     SingularDesignError,
     SingularGramError,
+    adaptive_lasso,
     build_second_stage,
     fit_moments,
     half_dim,
     halfvec_indices,
+    lambda_max,
+    lambda_path,
     min_eigenvalue,
     ols,
     sandwich,
@@ -127,6 +131,22 @@ class TestSecondStage:
         data = draw_dataset(30, seed=6)
         with pytest.raises(DimensionError):
             build_second_stage(data, np.zeros(data.p + 1))
+
+    @pytest.mark.parametrize("penalize", [False, True])
+    def test_stored_gram_gives_the_design_functions_bits(self, penalize):
+        data = draw_dataset(400, seed=7)
+        stage = SecondStage.from_data(data, penalize)
+        lmax = stage.lambda_max()
+        assert lmax == lambda_max(stage.ysig, stage.xsig, stage.init, stage.penalize_mask)
+        assert np.array_equal(stage.init, ols(stage.ysig, stage.xsig))
+        grid = np.geomspace(lmax, 1e-4 * lmax, 12)
+        direct = lambda_path(stage.ysig, stage.xsig, stage.config(0.0), grid)
+        for ours, theirs in zip(stage.path(grid), direct):
+            assert np.array_equal(ours.beta, theirs.beta)
+            assert ours.kkt_residual == theirs.kkt_residual
+        fit = fit_moments(data, grid[5], penalize)
+        solo = adaptive_lasso(stage.ysig, stage.xsig, stage.config(grid[5]))
+        assert np.array_equal(fit.sigma_hat, solo.beta)
 
 
 class TestFitMoments:
