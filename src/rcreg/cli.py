@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -24,7 +25,6 @@ from .errors import RcregError
 from .estimate import (  # noqa: F401
     Dataset,
     SecondStage,
-    adaptive_lasso,
     build_second_stage,
     fit_moments,
     lambda_max,
@@ -220,11 +220,7 @@ def _cmd_fit(args) -> int:
     stage = SecondStage.from_data(data, args.penalize_intercept_variance)
     if args.lam is None or args.path_csv:
         grid, sols, best = _fit_path(stage, pick=args.lam is None)
-    if args.lam is None:
-        sol = sols[best]
-    else:
-        sol = adaptive_lasso(stage.ysig, stage.xsig, stage.config(args.lam))
-    fit = stage.moment_fit(sol)
+    fit = stage.moment_fit(sols[best] if args.lam is None else stage.path([args.lam])[0])
     payload = {
         "mu_hat": fit.mu_hat,
         "sigma_hat": fit.sigma_hat,
@@ -282,10 +278,7 @@ def _cmd_simulate(args) -> int:
         raw["seed"] = args.seed
     if args.replications is not None:
         raw["replications"] = args.replications
-    known = {
-        "p", "covariate_law", "mu1", "sigma1", "b4", "replications", "seed",
-        "pilot_replications", "grid_size", "solver_tol", "solver_max_iter",
-    }
+    known = {f.name for f in dataclasses.fields(SimConfig)} - {"n", "lam"}
     unknown = set(raw) - known
     if unknown:
         raise RcregError(

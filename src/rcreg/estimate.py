@@ -434,24 +434,23 @@ def _segments(G, b, scale, excluded):
         hi = lo
 
 
-def _walk(G, b, cfg: AdaLassoConfig, grid=None) -> list[LassoSolution]:
-    """Solutions at the descending levels ``grid`` (``[cfg.lam]`` if None) from
-    one walk down the path of the Gram form ``(G, b)``.
+def _walk(G, b, cfg: AdaLassoConfig, grid) -> list[LassoSolution]:
+    """Solutions at the descending levels ``grid`` from one walk down the path
+    of the Gram form ``(G, b)``; ``cfg.lam`` is not read.
 
     A level is read off the first segment that reaches it.  After
     ``cfg.max_iter`` breakpoints the walk stops; later levels get the exact
     solution at the last breakpoint, with ``converged=False``.
     """
-    lam, scale, excluded = _resolve_config(cfg, G.shape[0])
-    grid = np.asarray([lam] if grid is None else grid, dtype=float).reshape(-1)
+    _, scale, excluded = _resolve_config(cfg, G.shape[0])
+    grid = np.asarray(grid, dtype=float).reshape(-1)
     if grid.size == 0:
         raise DimensionError("lambda grid must be nonempty")
-    if not np.all(np.isfinite(grid)):
-        raise DomainError("lambda grid must be finite")
+    bad = grid[~(np.isfinite(grid) & (grid >= 0.0))]
+    if bad.size:
+        raise DomainError(f"lambda must be finite and nonnegative, got {bad[0]}")
     if np.any(np.diff(grid) > 0):
         raise DomainError("lambda grid must be sorted in descending order")
-    if grid[-1] < 0.0:
-        raise DomainError(f"lambda must be nonnegative, got {grid[-1]}")
     segments = _segments(G, b, scale, excluded)
     seg = next(segments)
     budget = cfg.max_iter
@@ -484,7 +483,7 @@ def adaptive_lasso(Y, X, cfg: AdaLassoConfig) -> LassoSolution:
     last one with ``converged=False`` rather than raising; a numerically
     singular active Gram raises :class:`SingularGramError`.
     """
-    return _walk(*_gram(*_cross(Y, X)), cfg)[0]
+    return _walk(*_gram(*_cross(Y, X)), cfg, [cfg.lam])[0]
 
 
 def lambda_max(Y, X, init, penalize_mask=None) -> float:
@@ -607,7 +606,7 @@ def fit_moments(
     Raises :class:`ConvergenceError` if the solver stops short of ``lambda_sigma`` or ``tol``.
     """
     stage = SecondStage.from_data(data, penalize_intercept_variance)
-    return stage.moment_fit(_walk(stage.G, stage.b, stage.config(lambda_sigma, tol, max_iter))[0])
+    return stage.moment_fit(stage.path([lambda_sigma], tol, max_iter)[0])
 
 
 def select_means(

@@ -20,7 +20,6 @@ from .errors import DimensionError, DomainError
 
 __all__ = [
     "half_dim",
-    "dim_from_half",
     "halfvec_indices",
     "vec_half",
     "unvec_half",
@@ -36,20 +35,6 @@ def half_dim(p: int) -> int:
     if p < 1:
         raise DimensionError(f"matrix dimension must be >= 1, got {p}")
     return p * (p + 1) // 2
-
-
-def dim_from_half(m: int) -> int:
-    """Matrix dimension p such that p(p+1)/2 == m.
-
-    Raises
-    ------
-    DimensionError
-        If ``m`` is not a triangular number.
-    """
-    p = int((np.sqrt(8 * m + 1) - 1) / 2 + 0.5)
-    if p < 1 or p * (p + 1) // 2 != m:
-        raise DimensionError(f"{m} is not a valid half-vector length")
-    return p
 
 
 def halfvec_indices(p: int) -> list[tuple[int, int]]:

@@ -356,14 +356,6 @@ def assemble_covariance(blocks: PartialIdBlocks, s: float) -> np.ndarray:
     return M
 
 
-def _split_spectrum(F: np.ndarray, tol: float):
-    """Range eigenpairs of F, a basis of its kernel, and whether that kernel loads on B0."""
-    lam, V = np.linalg.eigh(F)
-    zero = lam <= max(tol, 1e-12 * max(1.0, float(lam[-1])))
-    loads = bool(zero.any()) and float(np.max(np.abs(V[0, zero]))) > 1e-8
-    return lam[~zero], V[:, ~zero], V[:, zero], loads
-
-
 def partial_id_bounds(blocks: PartialIdBlocks, tol: float = 1e-9) -> VarianceBounds:
     """Sharp bounds on Var(B1) over all PSD completions of the blocks, in closed form.
 
@@ -372,7 +364,8 @@ def partial_id_bounds(blocks: PartialIdBlocks, tol: float = 1e-9) -> VarianceBou
     F_00) / 2, ``cov_b1_b2``).  It is PSD exactly when u(s) lies in the range of F
     and q(s) = s - u(s)'F+u(s) >= 0 (the Schur-complement test for one free
     diagonal entry; Horn & Johnson, *Matrix Analysis*, 7.7).  From one
-    eigendecomposition of F, with the kernel of :func:`classify_randomness`:
+    eigendecomposition of F, whose kernel holds the eigenvalues
+    <= max(tol, 1e-12 * max(1, lambda_max)):
 
     * a kernel vector k adds the linear condition k'u(s) = 0, which pins s when
       k loads on B0 and otherwise asks k'u0 = 0;
@@ -394,7 +387,10 @@ def partial_id_bounds(blocks: PartialIdBlocks, tol: float = 1e-9) -> VarianceBou
     check_tol(tol)
     F = blocks.cov_b0_b2
     u0 = np.concatenate(([(blocks.var_b0_plus_b1 - F[0, 0]) / 2.0], blocks.cov_b1_b2))
-    lam, V, kernel, loads = _split_spectrum(F, tol)
+    lam, V = np.linalg.eigh(F)
+    zero = lam <= max(tol, 1e-12 * max(1.0, float(lam[-1])))
+    loads = bool(zero.any()) and float(np.max(np.abs(V[0, zero]))) > 1e-8
+    lam, V, kernel = lam[~zero], V[:, ~zero], V[:, zero]
     c, a = V[0], u0 @ V  # e1 and u0 in the range eigenbasis
     h1, g1, ug = float(c @ (c / lam)), float(c @ (a / lam)), float(a @ (a / lam))
     slack, umax = 10.0 * tol, float(np.max(np.abs(u0)))
@@ -424,19 +420,8 @@ def partial_id_bounds(blocks: PartialIdBlocks, tol: float = 1e-9) -> VarianceBou
 def classify_randomness(blocks: PartialIdBlocks, tol: float = 1e-9) -> Classification:
     """Is B1 necessarily random, necessarily degenerate, or undecided?
 
-    FORCED_POSITIVE when Var(B0) differs from Var(B0 + B1) beyond ``tol``
-    or some cross-covariance with the B2 block is nonzero.  FORCED_ZERO
-    when those all vanish and Cov((B0, B2')') has a kernel vector k (an
-    eigenvalue <= max(tol, 1e-12 * max(1, lambda_max))) with |k_1| > 1e-8.
-    Otherwise INTERVAL, with the range available from :func:`partial_id_bounds`.
+    The class of :func:`partial_id_bounds` (``partial_id_bounds(blocks,
+    tol).classification``), read off the sharp interval for Var(B1); raises
+    where that does.
     """
-    check_tol(tol)
-    v0 = blocks.cov_b0_b2[0, 0]
-    cross = blocks.cov_b1_b2
-    if abs(v0 - blocks.var_b0_plus_b1) > tol or (
-        cross.size and float(np.max(np.abs(cross))) > tol
-    ):
-        return Classification.FORCED_POSITIVE
-    if _split_spectrum(blocks.cov_b0_b2, tol)[3]:
-        return Classification.FORCED_ZERO
-    return Classification.INTERVAL
+    return partial_id_bounds(blocks, tol).classification

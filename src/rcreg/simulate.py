@@ -245,10 +245,11 @@ def run_replication(cfg: SimConfig, rep_index: int) -> RepResult:
 
 
 def _path_hits(cfg: SimConfig, stage: SecondStage, grid, target: int) -> np.ndarray:
-    """1 at each grid level whose solution has ``target`` penalized nonzeros."""
+    """1 at each grid level whose solution converged with ``target`` penalized nonzeros."""
     sols = stage.path(grid, cfg.solver_tol, cfg.solver_max_iter)
     mask = stage.penalize_mask
-    return np.array([np.count_nonzero(s.beta[mask]) == target for s in sols], dtype=int)
+    return np.array([s.converged and np.count_nonzero(s.beta[mask]) == target for s in sols],
+                    dtype=int)
 
 
 def _pilot_hits(args) -> np.ndarray:
@@ -263,7 +264,7 @@ def tune_lambda(cfg: SimConfig, workers: int | None = None) -> TuneResult:
     The grid is log-spaced over [1e-4 * lmax, lmax], with lmax computed on
     the first pilot dataset as the level that zeroes every penalized
     coordinate.  For each pilot dataset the grid points whose exact solution
-    has the correct number of penalized nonzeros are tallied; ties break
+    converged with the correct number of penalized nonzeros are tallied; ties break
     toward the larger penalty.  If no grid point ever hits the target the
     grid midpoint is returned with ``fallback=True``.  Pilots after the
     first run in parallel under the determinism contract of :func:`monte_carlo`.

@@ -1,6 +1,5 @@
 """Command-line surface: schemas, exit codes, goldens, round-trips."""
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -286,9 +285,9 @@ class TestFit:
 
     def test_nonconvergence_exit_one(self, tmp_path, capsys, monkeypatch):
         data, _ = _noiseless_csv(tmp_path, seed=4)
-        solve = cli.adaptive_lasso
-        monkeypatch.setattr(cli, "adaptive_lasso",
-                            lambda Y, X, cfg: solve(Y, X, dataclasses.replace(cfg, max_iter=1)))
+        path = rcreg.SecondStage.path
+        monkeypatch.setattr(rcreg.SecondStage, "path",
+                            lambda self, grid, tol=1e-8, max_iter=None: path(self, grid, tol, 1))
         code, out, err = run_cli(["fit", "--data", data, "--lambda", "0"], capsys)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and "did not converge" in err
@@ -333,7 +332,10 @@ class TestFit:
         )
         assert code == 0 and len(calls) == 1
 
-    def test_auto_with_path_forms_one_second_stage_gram(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("mode, path_csv", [(["--auto"], True), (["--lambda", "3.5"], False),
+                                                (["--lambda", "3.5"], True)],
+                             ids=["auto-path", "lambda", "lambda-path"])
+    def test_fit_forms_one_second_stage_gram(self, tmp_path, capsys, monkeypatch, mode, path_csv):
         data = _random_coefficient_csv(tmp_path, n=800, p=5)
         shapes = []
         cross = rcreg.estimate._cross
@@ -343,9 +345,8 @@ class TestFit:
             return cross(Y, X, *use)
 
         monkeypatch.setattr(rcreg.estimate, "_cross", counted)
-        code, _, _ = run_cli(
-            ["fit", "--data", data, "--auto", "--path-csv", str(tmp_path / "path.csv")], capsys
-        )
+        extra = ["--path-csv", str(tmp_path / "path.csv")] if path_csv else []
+        code, _, _ = run_cli(["fit", "--data", data] + mode + extra, capsys)
         assert code == 0 and shapes == [(800, 5), (800, 15)]
 
     @pytest.mark.parametrize("penalize", [False, True])

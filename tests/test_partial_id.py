@@ -268,6 +268,8 @@ class TestSingularF:
         blocks = PartialIdBlocks(cov_b0_b2=F, cov_b1_b2=cross, var_b0_plus_b1=1.4)
         with pytest.raises(InfeasibleError, match="PSD completion"):
             partial_id_bounds(blocks)
+        with pytest.raises(InfeasibleError, match="PSD completion"):
+            classify_randomness(blocks)
         assert grid_scan(blocks) is None
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -327,7 +329,22 @@ class TestClassification:
 
 
 class TestOneClassification:
-    """classify_randomness and partial_id_bounds decide the class the same way."""
+    """classify_randomness returns the class of partial_id_bounds."""
+
+    @pytest.mark.parametrize("where, gap", [
+        *[("var", d) for d in (2e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 3e-4)],
+        ("cross", 2e-9), ("cross", 1e-6),
+    ])
+    def test_margin_blocks(self, where, gap):
+        # Var(B0 + B1) - Var(B0) or Cov(B1, B2) exceeds tol, yet the lower bound on
+        # Var(B1) stays below 10 * tol until the variance gap reaches 3e-4.
+        if where == "var":
+            blocks = PartialIdBlocks(np.array([[1.0]]), np.zeros(0), 1.0 + gap)
+        else:
+            blocks = PartialIdBlocks(np.eye(2), np.array([gap]), 1.0)
+        kind = Classification.FORCED_POSITIVE if gap >= 3e-4 else Classification.INTERVAL
+        assert classify_randomness(blocks) is partial_id_bounds(blocks).classification
+        assert classify_randomness(blocks) is kind
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("kind", list(Classification))

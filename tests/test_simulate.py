@@ -10,6 +10,7 @@ from rcreg import simulate
 from rcreg import (
     CovariateLaw,
     DomainError,
+    SecondStage,
     SimConfig,
     build_second_stage,
     dgp_sample,
@@ -163,6 +164,18 @@ class TestTuneLambda:
         serial = tune_lambda(cfg, workers=1)
         assert sorted(calls) == [(simulate._STREAM_PILOT, i) for i in range(3)]
         assert np.array_equal(serial.hits, tune_lambda(cfg, workers=2).hits)
+
+    def test_nonconverged_levels_are_not_hits(self):
+        # The walk stops after 7 breakpoints; later levels get the last breakpoint's solution.
+        cfg = SimConfig(n=2000, p=6, seed=3, solver_max_iter=7)
+        stage = SecondStage.from_data(dgp_sample(cfg, 0, stream=simulate._STREAM_PILOT))
+        target = int(np.count_nonzero(true_moments(cfg)[1][stage.penalize_mask]))
+        lmax = stage.lambda_max()
+        grid = np.geomspace(lmax, lmax * 1e-4, cfg.grid_size)
+        stuck = [not s.converged for s in stage.path(grid, cfg.solver_tol, cfg.solver_max_iter)]
+        hits = simulate._path_hits(cfg, stage, grid, target)
+        assert any(stuck)
+        assert not np.any(hits[stuck])
 
     def test_three_point_tunes_larger_than_interval(self):
         """Stochastic trend over 5 paired tuning runs."""
