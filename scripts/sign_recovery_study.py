@@ -14,11 +14,10 @@ Example:
 
 import argparse
 import csv
-import dataclasses
 import sys
 import time
 
-from rcreg import CovariateLaw, SimConfig, monte_carlo, tune_lambda
+from rcreg import CovariateLaw, SimConfig, monte_carlo
 
 
 def parse_args(argv=None):
@@ -49,14 +48,13 @@ def main(argv=None) -> int:
                     n=n, p=p, covariate_law=law, lam=None, seed=args.seed,
                     replications=args.replications, pilot_replications=args.pilots,
                 )
-                tuned = tune_lambda(cfg)
-                report = monte_carlo(dataclasses.replace(cfg, lam=tuned.lam))
+                report = monte_carlo(cfg)
                 rows.append(
-                    (law, p, n, tuned.lam, report.sign_recovery_rate,
+                    (law, p, n, report.lambda_used, report.sign_recovery_rate,
                      dict(report.fp_histogram), dict(report.fn_histogram))
                 )
                 print(
-                    f"{law:>14} {p:>14} {n:>14} {tuned.lam:>14.3f} "
+                    f"{law:>14} {p:>14} {n:>14} {report.lambda_used:>14.3f} "
                     f"{report.sign_recovery_rate:>14.3f}  "
                     f"{report.fp_histogram} / {report.fn_histogram}"
                     f"   [{time.perf_counter() - t0:.0f}s]"

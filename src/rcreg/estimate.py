@@ -19,12 +19,14 @@ Stage two of a dataset is one :class:`SecondStage`, built once by
 
 The solver follows the exact piecewise-linear solution path in Gram form
 (X'X/n, X'y/n): one walk serves a whole grid of levels, and a single level
-is the same walk stopped early.
+is the same walk stopped early.  A level has converged when the walk
+reached it and its Gram KKT residual is at most
+``KKT_TOL * max(1, max|X'y/n|)``.  The residual is measured in the units
+of X'y/n, so the rule gives the same verdict whatever the response's units.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +63,10 @@ __all__ = [
 ]
 
 PSD_TOL = 1e-9
+# Converged: Gram KKT residual <= KKT_TOL * max(1, max|X'y/n|) (module docstring).
+KKT_TOL = 1e-8
+# Most breakpoints one walk passes: a guard against a path that cycles.
+MAX_BREAKPOINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -119,17 +125,12 @@ class AdaLassoConfig:
     """Weighted-l1 solver configuration.
 
     ``penalize_mask`` entries set to False mark unpenalized coordinates;
-    None penalizes everything.  A solution counts as converged when the
-    solver reached ``lam`` and its KKT residual (Gram form) is at most
-    ``tol``; ``max_iter`` bounds the breakpoints of one walk down the
-    solution path.
+    None penalizes everything.
     """
 
     lam: float
     init: np.ndarray
     penalize_mask: np.ndarray | None = None
-    tol: float = 1e-8
-    max_iter: int = 100_000
 
 
 @dataclass
@@ -258,16 +259,16 @@ class SecondStage:
         cross = _cross(design.ysig, design.xsig)
         return cls(mu_hat, design.ysig, design.xsig, _ols(*cross), mask, *_gram(*cross))
 
-    def config(self, lam: float, tol: float = 1e-8, max_iter: int = 100_000) -> AdaLassoConfig:
-        return AdaLassoConfig(lam, self.init, self.penalize_mask, tol, max_iter)
+    def config(self, lam: float) -> AdaLassoConfig:
+        return AdaLassoConfig(lam, self.init, self.penalize_mask)
 
     def lambda_max(self) -> float:
         """:func:`lambda_max` of this stage."""
-        return _lambda_max(self.G, self.b, self.config(0.0))
+        return _lambda_max(self.G, self.b, self.init, self.penalize_mask)
 
-    def path(self, grid, tol: float = 1e-8, max_iter: int = 100_000) -> list[LassoSolution]:
+    def path(self, grid) -> list[LassoSolution]:
         """:func:`lambda_path` of this stage."""
-        return _walk(self.G, self.b, self.config(0.0, tol, max_iter), grid)
+        return _walk(self.G, self.b, self.init, self.penalize_mask, grid)
 
     def moment_fit(self, sol: LassoSolution) -> MomentFit:
         """Moments from a solution; :class:`ConvergenceError` unless it converged."""
@@ -282,24 +283,28 @@ class SecondStage:
         )
 
 
-def _resolve_config(cfg: AdaLassoConfig, d: int):
-    """``(lam, scale, excluded)``; coordinate k's threshold at lam is ``lam / scale[k]``.
+def _levels(grid) -> np.ndarray:
+    """``grid`` as a float array of penalty levels, each finite and nonnegative."""
+    grid = np.asarray(grid, dtype=float).reshape(-1)
+    bad = grid[~(np.isfinite(grid) & (grid >= 0.0))]
+    if bad.size:
+        raise DomainError(f"lambda must be finite and nonnegative, got {bad[0]}")
+    return grid
+
+
+def _penalty(init, penalize_mask, d: int):
+    """``(scale, excluded)``; coordinate k's threshold at level lam is ``lam / scale[k]``.
 
     ``scale`` is |init| where penalized and infinite where not; excluded
     coordinates (penalized, zero initial estimate) are fixed at zero.
     """
-    lam = float(cfg.lam)
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise DomainError(f"lambda must be finite and nonnegative, got {lam}")
-    if cfg.tol <= 0:
-        raise DomainError(f"tol must be positive, got {cfg.tol}")
-    init = np.asarray(cfg.init, dtype=float).reshape(-1)
+    init = np.asarray(init, dtype=float).reshape(-1)
     if init.shape[0] != d:
         raise DimensionError(f"init must have length {d}, got {init.shape[0]}")
-    if cfg.penalize_mask is None:
+    if penalize_mask is None:
         penalized = np.ones(d, dtype=bool)
     else:
-        penalized = np.asarray(cfg.penalize_mask, dtype=bool).reshape(-1)
+        penalized = np.asarray(penalize_mask, dtype=bool).reshape(-1)
         if penalized.shape[0] != d:
             raise DimensionError(
                 f"penalize_mask must have length {d}, got {penalized.shape[0]}"
@@ -308,7 +313,7 @@ def _resolve_config(cfg: AdaLassoConfig, d: int):
     weighted = penalized & ~excluded
     scale = np.full(d, np.inf)
     scale[weighted] = np.abs(init[weighted])
-    return lam, scale, excluded
+    return scale, excluded
 
 
 def _gram(X, Y, G, c):
@@ -330,12 +335,14 @@ def kkt_residual(Y, X, beta, cfg: AdaLassoConfig) -> float:
     """Stationarity residual recomputed from the raw data.
 
     Independent of the solver's internal Gram bookkeeping; a converged
-    solution satisfies ``kkt_residual <= cfg.tol`` up to round-off.
+    solution satisfies ``kkt_residual <= KKT_TOL * max(1, max|X'Y/n|)`` up
+    to round-off.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float).reshape(-1)
     beta = np.asarray(beta, dtype=float).reshape(-1)
-    lam, scale, excluded = _resolve_config(cfg, X.shape[1])
+    lam, = _levels([cfg.lam])
+    scale, excluded = _penalty(cfg.init, cfg.penalize_mask, X.shape[1])
     grad = (2.0 / X.shape[0]) * (X.T @ (X @ beta - Y))
     return float(_violations(grad, beta, lam / scale, ~excluded).max(initial=0.0))
 
@@ -434,26 +441,25 @@ def _segments(G, b, scale, excluded):
         hi = lo
 
 
-def _walk(G, b, cfg: AdaLassoConfig, grid) -> list[LassoSolution]:
+def _walk(G, b, init, penalize_mask, grid) -> list[LassoSolution]:
     """Solutions at the descending levels ``grid`` from one walk down the path
-    of the Gram form ``(G, b)``; ``cfg.lam`` is not read.
+    of the Gram form ``(G, b)``, with weights from ``init`` and ``penalize_mask``.
 
-    A level is read off the first segment that reaches it.  After
-    ``cfg.max_iter`` breakpoints the walk stops; later levels get the exact
-    solution at the last breakpoint, with ``converged=False``.
+    A level is read off the first segment that reaches it; it has converged
+    when its KKT residual is at most ``KKT_TOL * max(1, max|b|)``.  After
+    ``MAX_BREAKPOINTS`` breakpoints the walk stops; later levels get the
+    exact solution at the last breakpoint, with ``converged=False``.
     """
-    _, scale, excluded = _resolve_config(cfg, G.shape[0])
-    grid = np.asarray(grid, dtype=float).reshape(-1)
+    scale, excluded = _penalty(init, penalize_mask, G.shape[0])
+    grid = _levels(grid)
     if grid.size == 0:
         raise DimensionError("lambda grid must be nonempty")
-    bad = grid[~(np.isfinite(grid) & (grid >= 0.0))]
-    if bad.size:
-        raise DomainError(f"lambda must be finite and nonnegative, got {bad[0]}")
     if np.any(np.diff(grid) > 0):
         raise DomainError("lambda grid must be sorted in descending order")
+    tol = KKT_TOL * max(1.0, float(np.max(np.abs(b), initial=0.0)))
     segments = _segments(G, b, scale, excluded)
     seg = next(segments)
-    budget = cfg.max_iter
+    budget = MAX_BREAKPOINTS
     solutions = []
     for lam in grid:
         lam = float(lam)
@@ -468,7 +474,7 @@ def _walk(G, b, cfg: AdaLassoConfig, grid) -> list[LassoSolution]:
         kkt = float(_violations(grad, beta, lam / scale, ~excluded).max(initial=0.0))
         solutions.append(LassoSolution(
             beta=beta, active_set=np.flatnonzero(beta != 0.0), kkt_residual=kkt,
-            iterations=steps, converged=reached and kkt <= cfg.tol, lam=lam,
+            iterations=steps, converged=reached and kkt <= tol, lam=lam,
         ))
     return solutions
 
@@ -479,11 +485,11 @@ def adaptive_lasso(Y, X, cfg: AdaLassoConfig) -> LassoSolution:
     Minimizes (1/n)||Y - X b||^2 + 2 lam sum_k |b_k| / |cfg.init_k| over the
     coordinates not excluded by a zero initial estimate, walking the path
     of :func:`lambda_path` from the top down to ``cfg.lam``.  Passing
-    ``cfg.max_iter`` breakpoints first returns the exact solution at the
+    ``MAX_BREAKPOINTS`` breakpoints first returns the exact solution at the
     last one with ``converged=False`` rather than raising; a numerically
     singular active Gram raises :class:`SingularGramError`.
     """
-    return _walk(*_gram(*_cross(Y, X)), cfg, [cfg.lam])[0]
+    return _walk(*_gram(*_cross(Y, X)), cfg.init, cfg.penalize_mask, [cfg.lam])[0]
 
 
 def lambda_max(Y, X, init, penalize_mask=None) -> float:
@@ -492,22 +498,20 @@ def lambda_max(Y, X, init, penalize_mask=None) -> float:
     It is the first breakpoint of the exact path, computed by the same code,
     so a :func:`lambda_path` grid that starts at it gives exact zeros there.
     """
-    cfg = AdaLassoConfig(lam=0.0, init=init, penalize_mask=penalize_mask)
-    return _lambda_max(*_gram(*_cross(Y, X)), cfg)
+    return _lambda_max(*_gram(*_cross(Y, X)), init, penalize_mask)
 
 
-def _lambda_max(G, b, cfg: AdaLassoConfig) -> float:
-    _, scale, excluded = _resolve_config(cfg, G.shape[0])
-    return float(next(_segments(G, b, scale, excluded)).lo)
+def _lambda_max(G, b, init, penalize_mask) -> float:
+    return float(next(_segments(G, b, *_penalty(init, penalize_mask, G.shape[0]))).lo)
 
 
 def lambda_path(Y, X, cfg: AdaLassoConfig, grid) -> list[LassoSolution]:
     """Exact solutions along a descending grid of penalty levels.
 
     One walk down the exact path serves the whole grid; ``cfg.lam`` is
-    ignored and ``cfg.max_iter`` bounds the walk's breakpoints.
+    not read.
     """
-    return _walk(*_gram(*_cross(Y, X)), cfg, grid)
+    return _walk(*_gram(*_cross(Y, X)), cfg.init, cfg.penalize_mask, grid)
 
 
 def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> WitnessReport:
@@ -532,12 +536,9 @@ def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> Wit
     S = np.asarray(S, dtype=int).reshape(-1)
     if S.size > n:
         raise DimensionError(f"|S|={S.size} exceeds the sample size {n}")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise DomainError(f"lambda must be finite and nonnegative, got {lam}")
-    init = np.asarray(init, dtype=float).reshape(-1)
-    if init.shape[0] != p:
-        raise DimensionError(f"init must have length {p}, got {init.shape[0]}")
-    if np.any(init[S] == 0.0):
+    lam, = _levels([lam])
+    scale, excluded = _penalty(init, None, p)
+    if np.any(excluded[S]):
         raise DomainError("initial estimate vanishes on the candidate support")
     mask = np.zeros(p, dtype=bool)
     mask[S] = True
@@ -564,15 +565,13 @@ def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> Wit
         eps = Y - Xs @ target
     signs = np.sign(target)
 
-    weighted_signs = lam * signs / np.abs(init[S])
+    weighted_signs = lam * signs / scale[S]
     correction = np.linalg.solve(Gs / n, (Xs.T @ eps) / n - weighted_signs)
     beta_tilde = target + correction
 
     proj_eps = eps - Xs @ np.linalg.solve(Gs, Xs.T @ eps)
     lhs = X[:, Sc].T @ Xs @ np.linalg.solve(Gs, weighted_signs) + (X[:, Sc].T @ proj_eps) / n
-    checked = init[Sc] != 0.0
-    rhs = np.full(Sc.shape[0], np.inf)
-    rhs[checked] = lam / np.abs(init[Sc][checked])
+    rhs = np.where(excluded[Sc], np.inf, lam / scale[Sc])
     condition1 = bool(np.all(np.abs(lhs) < rhs))
     sign_match = bool(np.all(np.sign(beta_tilde) == signs) and np.all(signs != 0.0))
 
@@ -594,38 +593,26 @@ def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> Wit
     )
 
 
-def fit_moments(
-    data: Dataset,
-    lambda_sigma: float,
-    penalize_intercept_variance: bool = False,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-) -> MomentFit:
+def fit_moments(data: Dataset, lambda_sigma: float,
+                penalize_intercept_variance: bool = False) -> MomentFit:
     """Full two-stage pipeline: means by OLS, covariance entries by adaptive lasso.
 
-    Raises :class:`ConvergenceError` if the solver stops short of ``lambda_sigma`` or ``tol``.
+    Raises :class:`ConvergenceError` if the solution at ``lambda_sigma`` has
+    not converged (see :class:`SecondStage`'s ``moment_fit``).
     """
     stage = SecondStage.from_data(data, penalize_intercept_variance)
-    return stage.moment_fit(stage.path([lambda_sigma], tol, max_iter)[0])
+    return stage.moment_fit(stage.path([lambda_sigma])[0])
 
 
-def select_means(
-    data: Dataset,
-    lambda_mu: float,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-) -> LassoSolution:
-    """Adaptive-lasso selection of the coefficient means (intercept unpenalized)."""
-    init = ols(data.Y, data.X)
+def select_means(data: Dataset, lambda_mu: float) -> LassoSolution:
+    """Adaptive-lasso selection of the coefficient means (intercept unpenalized).
+
+    The initial estimate is OLS, solved from the same cross products as the lasso.
+    """
+    cross = _cross(data.Y, data.X)
     mask = np.ones(data.p, dtype=bool)
     mask[0] = False
-    return adaptive_lasso(
-        data.Y,
-        data.X,
-        AdaLassoConfig(
-            lam=lambda_mu, init=init, penalize_mask=mask, tol=tol, max_iter=max_iter
-        ),
-    )
+    return _walk(*_gram(*cross), _ols(*cross), mask, [lambda_mu])[0]
 
 
 def sandwich(data: Dataset, fit: MomentFit) -> SandwichEstimate:

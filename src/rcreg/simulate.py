@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DomainError, RcregError
 # Unused names here are kept for perfbench/tracing.py, which wraps them.
 from .estimate import (  # noqa: F401
+    PSD_TOL,
     Dataset,
     SecondStage,
     build_second_stage,
@@ -87,12 +88,9 @@ class SimConfig:
     seed: int = 0
     pilot_replications: int = 100
     grid_size: int = 50
-    solver_tol: float = 1e-8
-    solver_max_iter: int = 100_000
 
     def __post_init__(self):
-        for name in ("n", "p", "replications", "seed", "pilot_replications", "grid_size",
-                     "solver_max_iter"):
+        for name in ("n", "p", "replications", "seed", "pilot_replications", "grid_size"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
@@ -109,10 +107,8 @@ class SimConfig:
             raise DomainError(f"grid_size must be >= 1, got {self.grid_size}")
         if self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
-        if not (_finite_real(self.solver_tol) and self.solver_tol > 0):
-            raise DomainError(f"solver_tol must be finite and positive, got {self.solver_tol!r}")
-        if self.solver_max_iter < 1:
-            raise DomainError(f"solver_max_iter must be >= 1, got {self.solver_max_iter}")
+        if not _finite_real(self.b4):
+            raise DomainError(f"b4 must be a finite real, got {self.b4!r}")
         if self.lam is not None and not (_finite_real(self.lam) and self.lam >= 0):
             raise DomainError(f"lam must be finite and nonnegative, got {self.lam!r}")
         _psd_factor(self.sigma1)  # fail fast on an invalid covariance block
@@ -218,9 +214,7 @@ def run_replication(cfg: SimConfig, rep_index: int) -> RepResult:
     if cfg.lam is None:
         raise DomainError("cfg.lam is unset; tune first or provide a value")
     data = dgp_sample(cfg, rep_index)
-    fit = fit_moments(
-        data, cfg.lam, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter
-    )
+    fit = fit_moments(data, cfg.lam)
     _, sigma_star = true_moments(cfg)
     est_sign = np.sign(fit.sigma_hat).astype(int)
     true_sign = np.sign(sigma_star).astype(int)
@@ -233,7 +227,7 @@ def run_replication(cfg: SimConfig, rep_index: int) -> RepResult:
     block_psd = True
     if block.size:
         sub = fit.Sigma_hat[np.ix_(block, block)]
-        block_psd = bool(min_eigenvalue(sub) >= -1e-9)
+        block_psd = bool(min_eigenvalue(sub) >= -PSD_TOL)
     return RepResult(
         signs=tuple(est_sign.tolist()),
         fp=fp,
@@ -244,9 +238,9 @@ def run_replication(cfg: SimConfig, rep_index: int) -> RepResult:
     )
 
 
-def _path_hits(cfg: SimConfig, stage: SecondStage, grid, target: int) -> np.ndarray:
+def _path_hits(stage: SecondStage, grid, target: int) -> np.ndarray:
     """1 at each grid level whose solution converged with ``target`` penalized nonzeros."""
-    sols = stage.path(grid, cfg.solver_tol, cfg.solver_max_iter)
+    sols = stage.path(grid)
     mask = stage.penalize_mask
     return np.array([s.converged and np.count_nonzero(s.beta[mask]) == target for s in sols],
                     dtype=int)
@@ -255,7 +249,7 @@ def _path_hits(cfg: SimConfig, stage: SecondStage, grid, target: int) -> np.ndar
 def _pilot_hits(args) -> np.ndarray:
     cfg, index, grid, target = args
     stage = SecondStage.from_data(dgp_sample(cfg, index, stream=_STREAM_PILOT))
-    return _path_hits(cfg, stage, grid, target)
+    return _path_hits(stage, grid, target)
 
 
 def tune_lambda(cfg: SimConfig, workers: int | None = None) -> TuneResult:
@@ -276,7 +270,7 @@ def tune_lambda(cfg: SimConfig, workers: int | None = None) -> TuneResult:
         return TuneResult(lam=0.0, fallback=True, grid=np.zeros(1), hits=np.zeros(1, int))
     grid = np.geomspace(lmax, lmax * 1e-4, cfg.grid_size)
     jobs = [(cfg, i, grid, target) for i in range(1, cfg.pilot_replications)]
-    rows = [_path_hits(cfg, first, grid, target)] + _run_jobs(_pilot_hits, jobs, workers)
+    rows = [_path_hits(first, grid, target)] + _run_jobs(_pilot_hits, jobs, workers)
     hits = np.sum(rows, axis=0)
     if hits.max() == 0:
         return TuneResult(

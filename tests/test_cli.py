@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rcreg
-from rcreg import cli
+from rcreg import cli, estimate
 from rcreg.cli import dump_json, main
 
 
@@ -189,9 +189,9 @@ def _noiseless_csv(tmp_path, n=120, seed=0):
     return write(tmp_path / "d.csv", "\n".join(lines) + "\n"), mu
 
 
-def _random_coefficient_csv(tmp_path, n=800, p=5, seed=1):
+def _random_coefficient_csv(tmp_path, n=800, p=5, seed=1, y_scale=1.0):
     data = rcreg.dgp_sample(rcreg.SimConfig(n=n, p=p, seed=seed), 0)
-    rows = np.column_stack([data.Y, data.X[:, 1:]])
+    rows = np.column_stack([y_scale * data.Y, data.X[:, 1:]])
     lines = ["y," + ",".join(f"w{k}" for k in range(1, p))]
     lines += [",".join(repr(float(v)) for v in row) for row in rows]
     return write(tmp_path / "d.csv", "\n".join(lines) + "\n")
@@ -285,12 +285,16 @@ class TestFit:
 
     def test_nonconvergence_exit_one(self, tmp_path, capsys, monkeypatch):
         data, _ = _noiseless_csv(tmp_path, seed=4)
-        path = rcreg.SecondStage.path
-        monkeypatch.setattr(rcreg.SecondStage, "path",
-                            lambda self, grid, tol=1e-8, max_iter=None: path(self, grid, tol, 1))
+        monkeypatch.setattr(estimate, "MAX_BREAKPOINTS", 1)
         code, out, err = run_cli(["fit", "--data", data, "--lambda", "0"], capsys)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and "did not converge" in err
+
+    def test_response_in_other_units_converges(self, tmp_path, capsys):
+        data = _random_coefficient_csv(tmp_path, n=5000, p=6, seed=1, y_scale=1e3)
+        code, out, err = run_cli(["fit", "--data", data, "--lambda", "3.5"], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["lambda_used"] == 3.5
 
     def test_non_finite_lambda_exit_one(self, tmp_path):
         data, _ = _noiseless_csv(tmp_path, seed=5)
@@ -455,7 +459,8 @@ class TestSimulate:
         '"p": 6.5', '"replications": 2.5', '"grid_size": 2.5', '"seed": 2.5', '"seed": true',
         '"pilot_replications": false', '"solver_tol": 0', '"solver_tol": NaN',
         '"solver_max_iter": 0', '"lambda": -1', '"lambda": Infinity', '"n": 600.7',
-        '"lambda": true',
+        '"lambda": true', '"b4": true', '"b4": null', '"b4": Infinity', '"b4": "x"',
+        '"b4": [1, 2]',
     ])
     def test_bad_field_exit_one(self, tmp_path, field):
         raw = {"n": 500, "lambda": 1.0, **json.loads("{%s}" % field)}
@@ -467,6 +472,8 @@ class TestSimulate:
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+        if '"b4"' in field:
+            assert "b4 must be a finite real" in proc.stderr
 
 
 class TestRoundTrip:

@@ -14,6 +14,7 @@ from dgp_helpers import (
     mkl_from_raw_moments,
 )
 from rcreg import (
+    AdaLassoConfig,
     ConvergenceError,
     Dataset,
     DimensionError,
@@ -21,10 +22,12 @@ from rcreg import (
     LassoSolution,
     MomentFit,
     SecondStage,
+    SimConfig,
     SingularDesignError,
     SingularGramError,
     adaptive_lasso,
     build_second_stage,
+    dgp_sample,
     fit_moments,
     half_dim,
     halfvec_indices,
@@ -38,6 +41,7 @@ from rcreg import (
     v_transform,
     vec_half,
 )
+from rcreg import estimate
 
 
 class TestOls:
@@ -179,10 +183,19 @@ class TestFitMoments:
         assert fit.psd == (min_eigenvalue(fit.Sigma_hat) >= -1e-9)
         assert fit.lambda_used == 2.0
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
         data = draw_dataset(2500, seed=8)
+        monkeypatch.setattr(estimate, "MAX_BREAKPOINTS", 1)
         with pytest.raises(ConvergenceError, match="did not converge"):
-            fit_moments(data, 0.0, max_iter=1)
+            fit_moments(data, 0.0)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_every_path_level_converges_in_other_units(self, scale):
+        data = dgp_sample(SimConfig(n=5000, p=6, seed=1), 0)
+        stage = SecondStage.from_data(Dataset(X=data.X, Y=scale * data.Y))
+        lmax = stage.lambda_max()
+        sols = stage.path(np.geomspace(lmax, 1e-4 * lmax, 50))
+        assert [s.converged for s in sols] == [True] * 50
 
     def test_short_sample_rejected(self):
         rng = np.random.default_rng(10)
@@ -207,6 +220,17 @@ class TestSelectMeans:
         data = draw_dataset(500, seed=12)
         sol = select_means(data, 0.0)
         assert np.max(np.abs(sol.beta - ols(data.Y, data.X))) <= 1e-7
+
+    def test_one_gram_serves_init_and_lasso(self, monkeypatch):
+        data = draw_dataset(500, seed=12)
+        mask = np.arange(data.p) > 0
+        apart = adaptive_lasso(data.Y, data.X, AdaLassoConfig(0.2, ols(data.Y, data.X), mask))
+        calls = []
+        cross = estimate._cross
+        monkeypatch.setattr(estimate, "_cross", lambda *args: calls.append(args) or cross(*args))
+        sol = select_means(data, 0.2)
+        assert len(calls) == 1
+        assert np.array_equal(sol.beta, apart.beta) and sol.kkt_residual == apart.kkt_residual
 
     def test_study_scale_support_recovery(self):
         """Means (40, 15, 0, -10, 20, 0, ...) at p=10, n=5000: support found."""

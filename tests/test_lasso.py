@@ -16,6 +16,8 @@ from rcreg import (
     ols,
     witness_check,
 )
+from rcreg import estimate
+from rcreg.estimate import KKT_TOL
 
 
 def random_regression(seed, n=200, p=6, noise=0.5, sparse=False):
@@ -69,7 +71,7 @@ class TestSolverBasics:
         cfg = AdaLassoConfig(lam=0.8, init=np.ones(X.shape[1]), penalize_mask=mask)
         sol = adaptive_lasso(Y, X, cfg)
         grad0 = 2.0 / X.shape[0] * (X[:, 0] @ (X @ sol.beta - Y))
-        assert abs(grad0) <= cfg.tol
+        assert abs(grad0) <= KKT_TOL
 
     def test_zero_init_coordinate_fixed_at_zero(self):
         X, Y, _ = random_regression(6)
@@ -79,11 +81,10 @@ class TestSolverBasics:
         assert sol.beta[2] == 0.0
         assert 2 not in sol.active_set
 
-    def test_max_iter_returns_best_iterate(self):
+    def test_max_iter_returns_best_iterate(self, monkeypatch):
         X, Y, _ = random_regression(7)
-        sol = adaptive_lasso(
-            Y, X, AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1]), max_iter=1)
-        )
+        monkeypatch.setattr(estimate, "MAX_BREAKPOINTS", 1)
+        sol = adaptive_lasso(Y, X, AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1])))
         assert not sol.converged
         assert np.all(np.isfinite(sol.beta))
 
@@ -111,8 +112,8 @@ class TestKKT:
         cfg = AdaLassoConfig(lam=float(rng.uniform(0, 1)), init=init, penalize_mask=mask)
         sol = adaptive_lasso(Y, X, cfg)
         assert sol.converged
-        assert sol.kkt_residual <= cfg.tol
-        assert kkt_residual(Y, X, sol.beta, cfg) <= 10 * cfg.tol
+        assert sol.kkt_residual <= KKT_TOL
+        assert kkt_residual(Y, X, sol.beta, cfg) <= 10 * KKT_TOL
 
     def test_scaling_identity(self):
         """Scaling (Y, init, lam) -> (cY, c init, c^2 lam) scales the solution by c."""
@@ -176,6 +177,11 @@ class TestLambdaPath:
         with pytest.raises(DomainError, match="finite"):
             lambda_path(Y, X, AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1])), grid)
 
+    def test_path_does_not_read_the_config_level(self):
+        X, Y, _ = random_regression(24, p=2)
+        sols = lambda_path(Y, X, AdaLassoConfig(lam=np.nan, init=np.ones(2)), [1.0, 0.5])
+        assert [s.lam for s in sols] == [1.0, 0.5] and all(s.converged for s in sols)
+
 
 class TestExactPath:
     @pytest.mark.parametrize("seed", range(12))
@@ -201,7 +207,7 @@ class TestExactPath:
         for lam, sol in zip(grid, sols):
             at = replace(cfg, lam=float(lam))
             assert sol.converged and sol.lam == lam
-            assert kkt_residual(Y, X, sol.beta, at) <= 10 * cfg.tol
+            assert kkt_residual(Y, X, sol.beta, at) <= 10 * KKT_TOL
             single = adaptive_lasso(Y, X, at)
             assert np.max(np.abs(single.beta - sol.beta)) <= 1e-10
         assert np.all(sols[0].beta[mask] == 0.0) and np.all(sols[1].beta[mask] == 0.0)
@@ -227,9 +233,10 @@ class TestExactPath:
         with pytest.raises(SingularGramError):
             lambda_path(Y, X, cfg, [1.0, 0.0])
 
-    def test_max_iter_bounds_breakpoints_of_the_walk(self):
+    def test_max_iter_bounds_breakpoints_of_the_walk(self, monkeypatch):
         X, Y, _ = random_regression(42)
-        cfg = AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1]), max_iter=2)
+        monkeypatch.setattr(estimate, "MAX_BREAKPOINTS", 2)
+        cfg = AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1]))
         sols = lambda_path(Y, X, cfg, [1e6, 0.0, 0.0])
         assert sols[0].converged and sols[0].iterations == 0
         assert [s.converged for s in sols[1:]] == [False, False]

@@ -6,8 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from rcreg import simulate
+from rcreg import estimate, simulate
 from rcreg import (
+    DEFAULT_B4,
+    DEFAULT_MU1,
+    DEFAULT_SIGMA1,
     CovariateLaw,
     DomainError,
     SecondStage,
@@ -165,15 +168,16 @@ class TestTuneLambda:
         assert sorted(calls) == [(simulate._STREAM_PILOT, i) for i in range(3)]
         assert np.array_equal(serial.hits, tune_lambda(cfg, workers=2).hits)
 
-    def test_nonconverged_levels_are_not_hits(self):
+    def test_nonconverged_levels_are_not_hits(self, monkeypatch):
         # The walk stops after 7 breakpoints; later levels get the last breakpoint's solution.
-        cfg = SimConfig(n=2000, p=6, seed=3, solver_max_iter=7)
+        monkeypatch.setattr(estimate, "MAX_BREAKPOINTS", 7)
+        cfg = SimConfig(n=2000, p=6, seed=3)
         stage = SecondStage.from_data(dgp_sample(cfg, 0, stream=simulate._STREAM_PILOT))
         target = int(np.count_nonzero(true_moments(cfg)[1][stage.penalize_mask]))
         lmax = stage.lambda_max()
         grid = np.geomspace(lmax, lmax * 1e-4, cfg.grid_size)
-        stuck = [not s.converged for s in stage.path(grid, cfg.solver_tol, cfg.solver_max_iter)]
-        hits = simulate._path_hits(cfg, stage, grid, target)
+        stuck = [not s.converged for s in stage.path(grid)]
+        hits = simulate._path_hits(stage, grid, target)
         assert any(stuck)
         assert not np.any(hits[stuck])
 
@@ -258,10 +262,17 @@ class TestMonteCarlo:
         assert simulate._run_jobs(abs, [-1, -2, -3, -4], None) == [1, 2, 3, 4]
         assert sizes == [3 if value.strip() else 2]
 
-    def test_nonconverged_replications_counted_as_failures(self):
-        cfg = SimConfig(n=600, p=5, seed=20, lam=0.0, replications=3, solver_max_iter=1)
+    def test_nonconverged_replications_counted_as_failures(self, monkeypatch):
+        monkeypatch.setattr(estimate, "MAX_BREAKPOINTS", 1)
+        cfg = SimConfig(n=600, p=5, seed=20, lam=0.0, replications=3)
         report = monte_carlo(cfg, workers=1)
         assert report.failures == 3 and report.per_rep == []
+
+    def test_failures_do_not_depend_on_units(self):
+        cfg = SimConfig(n=5000, p=6, seed=3, replications=4, pilot_replications=4,
+                        mu1=1e3 * np.array(DEFAULT_MU1), b4=1e3 * DEFAULT_B4,
+                        sigma1=1e6 * np.array(DEFAULT_SIGMA1))
+        assert monte_carlo(cfg, workers=1).failures == 0
 
     def test_histogram_mass_and_rate_definition(self):
         cfg = SimConfig(n=1500, p=5, seed=17, lam=12.0, replications=12)
