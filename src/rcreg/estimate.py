@@ -15,7 +15,9 @@ optimization and fixed at zero; unpenalized coordinates (the intercept
 variance by default) ignore their initial estimate entirely.
 
 Stage two of a dataset is one :class:`SecondStage`, built once by
-``SecondStage.from_data``; fits at one level and paths share it.
+``SecondStage.from_data``; fits at one level and paths share it.  Its
+n x p(p+1)/2 design is formed ``_BLOCK_ROWS`` rows at a time, whole only
+for an SVD solve when the Gram is too ill-conditioned.
 
 The solver follows the exact piecewise-linear solution path in Gram form
 (X'X/n, X'y/n): one walk serves a whole grid of levels, and a single level
@@ -28,6 +30,7 @@ of X'y/n, so the rule gives the same verdict whatever the response's units.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -67,6 +70,8 @@ PSD_TOL = 1e-9
 KKT_TOL = 1e-8
 # Most breakpoints one walk passes: a guard against a path that cycles.
 MAX_BREAKPOINTS = 100_000
+# Rows of the second-stage design formed at a time: 7.2 MB of floats at p=10.
+_BLOCK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -192,26 +197,31 @@ def ols(Y, X) -> np.ndarray:
 
 
 def _cross(Y, X, use: str = "the lasso solver"):
-    """``(X, Y, X'X, X'Y)`` as float arrays: the one place an n-row Gram is formed."""
+    """``(X'X, X'Y, n, rows)``, ``rows()`` giving ``(X, Y)`` as one row block: the one
+    place an n-row Gram is formed."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float).reshape(-1)
     if X.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise DimensionError(f"incompatible shapes X {X.shape}, Y {Y.shape} for {use}")
-    return X, Y, X.T @ X, X.T @ Y
+    return X.T @ X, X.T @ Y, X.shape[0], lambda: [(X, Y)]
 
 
-def _ols(X, Y, G, c) -> np.ndarray:
-    """:func:`ols` given the cross products ``G = X'X`` and ``c = X'Y``."""
-    if X.shape[0] >= X.shape[1]:
-        if X.shape[1] and np.all(np.isfinite(G)):
+def _ols(G, c, n, rows) -> np.ndarray:
+    """:func:`ols` from ``G = X'X``, ``c = X'Y`` of the n rows ``rows()`` gives as ``(X, Y)``
+    blocks: the refinement reads a block at a time, the SVD solve stacks them."""
+    d = G.shape[0]
+    if n >= d:
+        if d and np.all(np.isfinite(G)):
             w = np.linalg.eigvalsh(G)
             if w[0] > 1e-8 * w[-1]:
                 beta = np.linalg.solve(G, c)
-                return beta + np.linalg.solve(G, X.T @ (Y - X @ beta))
+                r = reduce(np.add, (X.T @ (Y - X @ beta) for X, Y in rows()))
+                return beta + np.linalg.solve(G, r)
+        X, Y = map(np.concatenate, zip(*rows()))
         beta, _, _, svals = np.linalg.lstsq(X, Y, rcond=None)
-        if svals.size and np.count_nonzero(svals > 1e-10 * svals[0]) == X.shape[1]:
+        if svals.size and np.count_nonzero(svals > 1e-10 * svals[0]) == d:
             return beta
-    raise SingularDesignError(f"design with shape {X.shape} is rank deficient; cannot solve")
+    raise SingularDesignError(f"design with shape {(n, d)} is rank deficient; cannot solve")
 
 
 def build_second_stage(data: Dataset, mu_hat) -> SecondStageDesign:
@@ -225,19 +235,28 @@ def build_second_stage(data: Dataset, mu_hat) -> SecondStageDesign:
     return SecondStageDesign(ysig=resid * resid, xsig=v_transform_rows(data.X))
 
 
+def _design_blocks(X, ysig):
+    """``rows()`` giving ``(v_transform_rows(X), ysig)`` in ``_BLOCK_ROWS``-row blocks,
+    formed anew on each call unless there is just one."""
+    if X.shape[0] <= _BLOCK_ROWS:
+        block = [(v_transform_rows(X), ysig)]
+        return lambda: block
+    blocks = [slice(s, s + _BLOCK_ROWS) for s in range(0, X.shape[0], _BLOCK_ROWS)]
+    return lambda: ((v_transform_rows(X[r]), ysig[r]) for r in blocks)
+
+
 @dataclass(frozen=True)
 class SecondStage:
     """Stage two of one dataset: first-stage fit ``mu_hat``, squared residuals
-    ``ysig`` on design ``xsig``, their least squares fit ``init`` (weights
-    1/|init|), ``penalize_mask`` and their Gram form ``G``, ``b``, formed once
-    and read by the solver methods.  The intercept variance (position 0) is
-    unpenalized unless requested: the intercept coefficient soaks up any
-    additive error term, so shrinking its variance to zero is rarely wanted.
+    ``ysig`` on ``v_transform_rows(X)`` (formed in row blocks, not kept), their
+    least squares fit ``init`` (weights 1/|init|), ``penalize_mask`` and their
+    Gram form ``G``, ``b``, read by the solver methods.  The intercept variance
+    (position 0) is unpenalized unless requested: the intercept coefficient soaks
+    up any additive error term, so shrinking its variance to zero is rarely wanted.
     """
 
     mu_hat: np.ndarray
     ysig: np.ndarray
-    xsig: np.ndarray
     init: np.ndarray
     penalize_mask: np.ndarray
     G: np.ndarray
@@ -253,11 +272,13 @@ class SecondStage:
                 "covariates"
             )
         mu_hat = ols(data.Y, data.X)
-        design = build_second_stage(data, mu_hat)
+        ysig = (data.Y - data.X @ mu_hat) ** 2
+        rows = _design_blocks(data.X, ysig)
+        G, c = (reduce(np.add, t) for t in zip(*(_cross(Y, X)[:2] for X, Y in rows())))
         mask = np.ones(d, dtype=bool)
         mask[0] = penalize_intercept_variance
-        cross = _cross(design.ysig, design.xsig)
-        return cls(mu_hat, design.ysig, design.xsig, _ols(*cross), mask, *_gram(*cross))
+        cross = G, c, data.n, rows
+        return cls(mu_hat, ysig, _ols(*cross), mask, *_gram(*cross))
 
     def config(self, lam: float) -> AdaLassoConfig:
         return AdaLassoConfig(lam, self.init, self.penalize_mask)
@@ -316,9 +337,9 @@ def _penalty(init, penalize_mask, d: int):
     return scale, excluded
 
 
-def _gram(X, Y, G, c):
+def _gram(G, c, n, *_rows):
     """Validated Gram form ``(X'X/n, X'Y/n)`` of the least squares loss, from :func:`_cross`."""
-    G, b = G / X.shape[0], c / X.shape[0]
+    G, b = G / n, c / n
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(b))):
         raise DomainError("the lasso solver needs finite X and Y")
     return G, b

@@ -14,9 +14,9 @@ results are independent of execution order and worker count.
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -95,6 +95,10 @@ class SimConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
         self.covariate_law = CovariateLaw(self.covariate_law)
+        for name in ("mu1", "sigma1"):
+            bad = [v for v in np.asarray(getattr(self, name), object).flat if not _finite_real(v)]
+            if bad:
+                raise DomainError(f"{name} entries must be finite reals, got {bad[0]!r}")
         self.mu1 = np.asarray(self.mu1, dtype=float).reshape(-1)
         self.sigma1 = np.asarray(self.sigma1, dtype=float)
         if self.mu1.shape[0] != 4 or self.sigma1.shape != (4, 4):
@@ -116,7 +120,7 @@ class SimConfig:
 
 def _finite_real(value) -> bool:
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)  # also False for an int beyond float
 
 
 @dataclass(frozen=True)

@@ -360,7 +360,8 @@ class TestFit:
             data = rcreg.dgp_sample(rcreg.SimConfig(n=n, p=p, seed=seed), 0)
             stage = rcreg.SecondStage.from_data(data, penalize)
             _, sols, best = cli._fit_path(stage, pick=True)
-            bic = [n * np.log(max(np.sum((stage.ysig - stage.xsig @ s.beta) ** 2), 1e-300) / n)
+            xsig = rcreg.build_second_stage(data, stage.mu_hat).xsig
+            bic = [n * np.log(max(np.sum((stage.ysig - xsig @ s.beta) ** 2), 1e-300) / n)
                    + np.log(n) * s.active_set.size for s in sols]
             assert best == int(np.argmin(bic)), (seed, best, int(np.argmin(bic)))
 
@@ -460,7 +461,12 @@ class TestSimulate:
         '"pilot_replications": false', '"solver_tol": 0', '"solver_tol": NaN',
         '"solver_max_iter": 0', '"lambda": -1', '"lambda": Infinity', '"n": 600.7',
         '"lambda": true', '"b4": true', '"b4": null', '"b4": Infinity', '"b4": "x"',
-        '"b4": [1, 2]',
+        '"b4": [1, 2]', '"mu1": [1, 2, 3, NaN]', '"mu1": [true, 2, 3, 4]', '"mu1": {"a": 1}',
+        pytest.param('"mu1": [1, 2, 3, %s]' % ("9" * 400), id="mu1-int-beyond-float"),
+        '"sigma1": "x"',
+        '"sigma1": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, Infinity]]',
+        '"sigma1": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, false]]',
+        pytest.param('"b4": %s' % ("9" * 400), id="b4-int-beyond-float"),
     ])
     def test_bad_field_exit_one(self, tmp_path, field):
         raw = {"n": 500, "lambda": 1.0, **json.loads("{%s}" % field)}
@@ -474,6 +480,9 @@ class TestSimulate:
         assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
         if '"b4"' in field:
             assert "b4 must be a finite real" in proc.stderr
+        for name in ("mu1", "sigma1"):
+            if f'"{name}"' in field:
+                assert f"{name} entries must be finite reals" in proc.stderr
 
 
 class TestRoundTrip:

@@ -1,6 +1,7 @@
 """Two-stage pipeline: OLS, second-stage design, moment fits, sandwich pieces."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,17 +141,63 @@ class TestSecondStage:
     def test_stored_gram_gives_the_design_functions_bits(self, penalize):
         data = draw_dataset(400, seed=7)
         stage = SecondStage.from_data(data, penalize)
+        xsig = build_second_stage(data, stage.mu_hat).xsig
         lmax = stage.lambda_max()
-        assert lmax == lambda_max(stage.ysig, stage.xsig, stage.init, stage.penalize_mask)
-        assert np.array_equal(stage.init, ols(stage.ysig, stage.xsig))
+        assert lmax == lambda_max(stage.ysig, xsig, stage.init, stage.penalize_mask)
+        assert np.array_equal(stage.init, ols(stage.ysig, xsig))
         grid = np.geomspace(lmax, 1e-4 * lmax, 12)
-        direct = lambda_path(stage.ysig, stage.xsig, stage.config(0.0), grid)
+        direct = lambda_path(stage.ysig, xsig, stage.config(0.0), grid)
         for ours, theirs in zip(stage.path(grid), direct):
             assert np.array_equal(ours.beta, theirs.beta)
             assert ours.kkt_residual == theirs.kkt_residual
         fit = fit_moments(data, grid[5], penalize)
-        solo = adaptive_lasso(stage.ysig, stage.xsig, stage.config(grid[5]))
+        solo = adaptive_lasso(stage.ysig, xsig, stage.config(grid[5]))
         assert np.array_equal(fit.sigma_hat, solo.beta)
+
+    def test_one_block_stage_is_the_whole_design_bits(self):
+        n = estimate._BLOCK_ROWS
+        data = dgp_sample(SimConfig(n=n, p=6, seed=13), 0)
+        stage = SecondStage.from_data(data)
+        whole = build_second_stage(data, stage.mu_hat)
+        G, b = estimate._gram(*estimate._cross(whole.ysig, whole.xsig))
+        assert np.array_equal(stage.ysig, whole.ysig)
+        assert np.array_equal(stage.G, G) and np.array_equal(stage.b, b)
+        assert np.array_equal(stage.init, ols(whole.ysig, whole.xsig))
+
+    @pytest.mark.parametrize("n", [estimate._BLOCK_ROWS + 1, 3 * estimate._BLOCK_ROWS + 5])
+    def test_blocked_stage_matches_the_whole_design(self, n):
+        data = dgp_sample(SimConfig(n=n, p=6, seed=13), 0)
+        stage = SecondStage.from_data(data)
+        whole = build_second_stage(data, stage.mu_hat)
+        G, b = estimate._gram(*estimate._cross(whole.ysig, whole.xsig))
+        init = ols(whole.ysig, whole.xsig)
+        for ours, theirs in [(stage.G, G), (stage.b, b), (stage.init, init)]:
+            assert np.max(np.abs(ours - theirs)) <= 1e-12 * np.max(np.abs(theirs))
+        lmax = stage.lambda_max()
+        grid = np.geomspace(lmax, 1e-4 * lmax, 50)
+        direct = lambda_path(whole.ysig, whole.xsig, AdaLassoConfig(0.0, init, stage.penalize_mask),
+                             grid)
+        assert ([s.active_set.tolist() for s in stage.path(grid)]
+                == [s.active_set.tolist() for s in direct])
+
+    def test_blocked_stage_refused_by_the_gram_guard_solves_the_whole_design(self):
+        raw = dgp_sample(SimConfig(n=2 * estimate._BLOCK_ROWS + 7, p=5, seed=14), 0)
+        data = Dataset.from_covariates(100.0 * raw.X[:, 1:], raw.Y)
+        stage = SecondStage.from_data(data)
+        w = np.linalg.eigvalsh(stage.G)
+        assert w[0] <= 1e-8 * w[-1]
+        whole = build_second_stage(data, stage.mu_hat)
+        assert np.array_equal(stage.init, ols(whole.ysig, whole.xsig))
+
+    def test_stage_holds_a_fraction_of_the_design(self):
+        data = dgp_sample(SimConfig(n=200_000, p=10, seed=15), 0)
+        tracemalloc.start()
+        try:
+            SecondStage.from_data(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.n * half_dim(data.p) * 8 / 4
 
 
 class TestFitMoments:
