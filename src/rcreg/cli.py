@@ -352,6 +352,9 @@ def main(argv=None) -> int:
     except (RcregError, ValueError, KeyError, OSError) as exc:
         print(f"rcreg: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("rcreg: the input needs more memory than is available", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

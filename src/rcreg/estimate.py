@@ -21,10 +21,12 @@ for an SVD solve when the Gram is too ill-conditioned.
 
 The solver follows the exact piecewise-linear solution path in Gram form
 (X'X/n, X'y/n): one walk serves a whole grid of levels, and a single level
-is the same walk stopped early.  A level has converged when the walk
-reached it and its Gram KKT residual is at most
-``KKT_TOL * max(1, max|X'y/n|)``.  The residual is measured in the units
-of X'y/n, so the rule gives the same verdict whatever the response's units.
+is the same walk stopped early; it updates the inverse of the active Gram
+block as coordinates join and leave, after one up-front rank test.  A level
+has converged when the walk reached it and its Gram KKT residual is at most
+``KKT_TOL * max(1, max|X'y/n|)``, after refactoring that inverse if need be.
+The residual is measured in the units of X'y/n, so the rule gives the same
+verdict whatever the response's units.
 """
 
 from __future__ import annotations
@@ -226,13 +228,16 @@ def _ols(G, c, n, rows) -> np.ndarray:
 
 def build_second_stage(data: Dataset, mu_hat) -> SecondStageDesign:
     """Squared residuals and row-wise transformed design for stage two."""
+    return SecondStageDesign(ysig=_squared_residuals(data, mu_hat), xsig=v_transform_rows(data.X))
+
+
+def _squared_residuals(data: Dataset, mu_hat) -> np.ndarray:
+    """Squared first-stage residuals at ``mu_hat``, which must have length p."""
     mu_hat = np.asarray(mu_hat, dtype=float).reshape(-1)
     if mu_hat.shape[0] != data.p:
-        raise DimensionError(
-            f"mu_hat must have length {data.p}, got {mu_hat.shape[0]}"
-        )
+        raise DimensionError(f"mu_hat must have length {data.p}, got {mu_hat.shape[0]}")
     resid = data.Y - data.X @ mu_hat
-    return SecondStageDesign(ysig=resid * resid, xsig=v_transform_rows(data.X))
+    return resid * resid
 
 
 def _design_blocks(X, ysig):
@@ -272,7 +277,7 @@ class SecondStage:
                 "covariates"
             )
         mu_hat = ols(data.Y, data.X)
-        ysig = (data.Y - data.X @ mu_hat) ** 2
+        ysig = _squared_residuals(data, mu_hat)
         rows = _design_blocks(data.X, ysig)
         G, c = (reduce(np.add, t) for t in zip(*(_cross(Y, X)[:2] for X, Y in rows())))
         mask = np.ones(d, dtype=bool)
@@ -368,15 +373,6 @@ def kkt_residual(Y, X, beta, cfg: AdaLassoConfig) -> float:
     return float(_violations(grad, beta, lam / scale, ~excluded).max(initial=0.0))
 
 
-def _solve_active(G, A, rhs):
-    """Solve ``G[A, A] x = rhs``; the rank test ignores column scale."""
-    GAA = G[np.ix_(A, A)]
-    root = np.sqrt(np.diagonal(GAA))
-    if not np.all(root > 0.0) or numeric_rank(GAA / np.outer(root, root)) < A.size:
-        raise SingularGramError("Gram matrix restricted to the active set is numerically singular")
-    return np.linalg.solve(GAA, rhs)
-
-
 @dataclass(frozen=True)
 class _Segment:
     """Stretch of the exact path, down to ``lo``, with a fixed active set.
@@ -411,7 +407,8 @@ class _Segment:
 
 
 def _segments(G, b, scale, excluded):
-    """Segments of the exact solution path from lam = inf down to 0.
+    """Segments of the exact path from lam = inf down to 0; ``send(True)``
+    refactors the active-set inverse and yields the current segment again.
 
     Homotopy of Osborne, Presnell and Turlach (2000), the lasso variant of
     LARS (Efron et al. 2004), in weighted form.  With active set A and signs
@@ -421,20 +418,31 @@ def _segments(G, b, scale, excluded):
     penalized coordinate reaches zero (k leaves).  A coordinate that just
     joined cannot leave, nor one that just left rejoin on the same side,
     within the next segment: that event sits at the segment's top.
+
+    ``inv(G_AA)`` is kept, A in join order: a joining coordinate borders it
+    (pivot ``g_kk - g_kA G_AA^-1 g_Ak``), a leaving one is downdated out.
+    The scale-free rank test runs once, on the Gram over the coordinates not
+    excluded: by eigenvalue interlacing every G_AA on the path passes it too.
     """
     w = 1.0 / scale
     penalized = ~excluded & (w > 0.0)
-    active = ~excluded & ~penalized  # unpenalized coordinates never leave
+    free = np.flatnonzero(~excluded)
+    G_free = G[np.ix_(free, free)]
+    root = np.sqrt(np.diagonal(G_free))
+    if not np.all(root > 0.0) or numeric_rank(G_free / np.outer(root, root)) < free.size:
+        raise SingularGramError("Gram matrix over the coordinates the path may activate "
+                                "is numerically singular")
+    A = np.flatnonzero(~excluded & ~penalized)  # unpenalized coordinates never leave
+    Ginv = np.linalg.inv(G[np.ix_(A, A)])
     sign = np.zeros(b.shape[0])
     hi = np.inf
     joined, left, left_side = -1, -1, 0.0
     while True:
-        A = np.flatnonzero(active)
-        out = np.flatnonzero(penalized & ~active)
-        coef = _solve_active(G, A, np.stack([b[A], w[A] * sign[A]], axis=1))
-        alpha, gamma = coef[:, 0], coef[:, 1]
-        a = b - G[:, A] @ alpha
-        e = G[:, A] @ gamma
+        out = np.flatnonzero(penalized & (sign == 0.0))
+        coef = Ginv @ np.array([b[A], w[A] * sign[A]]).T
+        alpha, gamma = coef.T
+        a, e = coef.T @ G[A]  # G[A] is G[:, A] transposed: G is symmetric
+        a = b - a
         ak, ek, wk = a[out], e[out], w[out]
         with np.errstate(divide="ignore", invalid="ignore"):
             rejoin = np.where(out == left, left_side, 0.0)
@@ -445,19 +453,27 @@ def _segments(G, b, scale, excluded):
         join = np.maximum(up, down)
         lam_in, lam_out = join.max(initial=-np.inf), leave.max(initial=-np.inf)
         lo = min(max(lam_in, lam_out, 0.0), hi)
-        yield _Segment(lo, A, sign[A], out, alpha, gamma, a, e)
+        if (yield _Segment(lo, A, sign[A], out, alpha, gamma, a, e)):
+            Ginv = np.linalg.inv(G[np.ix_(A, A)])
+            continue
         if lo <= 0.0:
             return
         if lam_in >= lam_out:
             i = int(np.argmax(join))
             k = out[i]
-            active[k] = True
+            v = Ginv @ G[A, k]
+            u = np.append(-v, 1.0)
+            Ginv, old = np.outer(u, u / (G[k, k] - G[k, A] @ v)), Ginv
+            Ginv[:-1, :-1] += old
+            A = np.append(A, k)
             sign[k] = 1.0 if up[i] >= down[i] else -1.0
             joined, left, left_side = k, -1, 0.0
         else:
-            k = A[int(np.argmax(leave))]
+            j = int(np.argmax(leave))
+            k, c = A[j], np.delete(Ginv[j], j)
+            Ginv = np.delete(np.delete(Ginv, j, 0), j, 1) - np.outer(c, c / Ginv[j, j])
+            A = np.delete(A, j)
             joined, left, left_side = -1, k, sign[k]
-            active[k] = False
             sign[k] = 0.0
         hi = lo
 
@@ -467,7 +483,9 @@ def _walk(G, b, init, penalize_mask, grid) -> list[LassoSolution]:
     of the Gram form ``(G, b)``, with weights from ``init`` and ``penalize_mask``.
 
     A level is read off the first segment that reaches it; it has converged
-    when its KKT residual is at most ``KKT_TOL * max(1, max|b|)``.  After
+    when its KKT residual is at most ``KKT_TOL * max(1, max|b|)``.  A level
+    above that is read once more after refactoring the kept inverse from
+    ``G_AA``, in case round-off has built up in the updates.  After
     ``MAX_BREAKPOINTS`` breakpoints the walk stops; later levels get the
     exact solution at the last breakpoint, with ``converged=False``.
     """
@@ -484,15 +502,19 @@ def _walk(G, b, init, penalize_mask, grid) -> list[LassoSolution]:
     solutions = []
     for lam in grid:
         lam = float(lam)
-        steps = 0
-        while not (reached := seg.reaches(lam, scale)) and steps < budget:
-            seg = next(segments)
-            steps += 1
+        steps, refactored = 0, False
+        while True:
+            while not (reached := seg.reaches(lam, scale)) and steps < budget:
+                seg = next(segments)
+                steps += 1
+            beta = np.zeros_like(b)
+            beta[seg.active] = seg.alpha - (lam if reached else seg.lo) * seg.gamma
+            grad = 2.0 * (G @ beta - b)
+            kkt = float(_violations(grad, beta, lam / scale, ~excluded).max(initial=0.0))
+            if refactored or not reached or kkt <= tol:
+                break
+            seg, refactored = segments.send(True), True
         budget -= steps
-        beta = np.zeros_like(b)
-        beta[seg.active] = seg.alpha - (lam if reached else seg.lo) * seg.gamma
-        grad = 2.0 * (G @ beta - b)
-        kkt = float(_violations(grad, beta, lam / scale, ~excluded).max(initial=0.0))
         solutions.append(LassoSolution(
             beta=beta, active_set=np.flatnonzero(beta != 0.0), kkt_residual=kkt,
             iterations=steps, converged=reached and kkt <= tol, lam=lam,
@@ -642,18 +664,16 @@ def sandwich(data: Dataset, fit: MomentFit) -> SandwichEstimate:
     The outer matrix is the empirical Gram of the transformed design; the
     middle matrix reweights it by squared second-stage residuals, whose
     conditional mean matches the heteroscedastic noise level row by row.
+    Both are summed over row blocks of the design, which is never held whole.
     The reported block inverts the Gram restricted to the active set, which
     is the limit law of the selected coordinates.  Treat the output as a
     diagnostic: it ignores selection uncertainty, so it is not a basis for
     formal inference.
     """
-    stage2 = build_second_stage(data, fit.mu_hat)
-    xsig = stage2.xsig
-    n = data.n
-    c_hat = (xsig.T @ xsig) / n
+    rows = _design_blocks(data.X, _squared_residuals(data, fit.mu_hat))
+    sums = ((X.T @ X, (X * ((Y - X @ fit.sigma_hat) ** 2)[:, None]).T @ X) for X, Y in rows())
+    c_hat, b_hat = (reduce(np.add, t) / data.n for t in zip(*sums))
     c_hat = (c_hat + c_hat.T) / 2.0
-    omega = (stage2.ysig - xsig @ fit.sigma_hat) ** 2
-    b_hat = (xsig * omega[:, None]).T @ xsig / n
     b_hat = (b_hat + b_hat.T) / 2.0
     S = fit.solution.active_set
     if S.size == 0:

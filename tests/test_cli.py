@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rcreg
-from rcreg import cli, estimate
+from rcreg import cli, estimate, simulate
 from rcreg.cli import dump_json, main
 
 
@@ -449,6 +449,17 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "r")], capsys)
         assert code == 1
         assert "positive semidefinite" in err
+
+    def test_out_of_memory_exit_one(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(simulate, "dgp_sample", no_memory)
+        monkeypatch.setenv("RCREG_THREADS", "1")
+        cfg = write(tmp_path / "sim.json", SIM_CONFIG % '"n": 500')
+        code, out, err = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "r")], capsys)
+        assert code == 1 and out == ""
+        assert err == "rcreg: the input needs more memory than is available\n"
 
     def test_unknown_field_exit_one(self, tmp_path, capsys):
         cfg = write(tmp_path / "sim.json", '{"n": 500, "bogus": 1}')

@@ -342,6 +342,38 @@ class TestSandwich:
         assert np.linalg.norm(est.b_hat - b_exact) / np.linalg.norm(b_exact) <= 0.10
         assert np.linalg.norm(est.c_hat - c_exact) / np.linalg.norm(c_exact) <= 0.01
 
+    @staticmethod
+    def _on_the_whole_design(data, fit):
+        """``c_hat`` and ``b_hat`` formed from the whole n x d design at once."""
+        whole = build_second_stage(data, fit.mu_hat)
+        xsig, n = whole.xsig, data.n
+        c_hat = (xsig.T @ xsig) / n
+        omega = (whole.ysig - xsig @ fit.sigma_hat) ** 2
+        b_hat = (xsig * omega[:, None]).T @ xsig / n
+        return (c_hat + c_hat.T) / 2.0, (b_hat + b_hat.T) / 2.0
+
+    @pytest.mark.parametrize("n", [estimate._BLOCK_ROWS, 2 * estimate._BLOCK_ROWS + 3])
+    def test_row_blocks_give_the_whole_design_sums(self, n):
+        data = dgp_sample(SimConfig(n=n, p=5, seed=16), 0)
+        fit = fit_moments(data, 0.5)
+        est = sandwich(data, fit)
+        c_hat, b_hat = self._on_the_whole_design(data, fit)
+        if n <= estimate._BLOCK_ROWS:
+            assert np.array_equal(est.c_hat, c_hat) and np.array_equal(est.b_hat, b_hat)
+        for ours, theirs in [(est.c_hat, c_hat), (est.b_hat, b_hat)]:
+            assert np.max(np.abs(ours - theirs)) <= 1e-12 * np.max(np.abs(theirs))
+
+    def test_sandwich_holds_a_fraction_of_the_design(self):
+        data = dgp_sample(SimConfig(n=200_000, p=10, seed=15), 0)
+        fit = fit_moments(data, 0.5)
+        tracemalloc.start()
+        try:
+            sandwich(data, fit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.n * half_dim(data.p) * 8 / 4
+
     def test_symmetry_and_psd(self):
         data = draw_dataset(4000, seed=15)
         fit = fit_moments(data, 1.0)

@@ -8,8 +8,11 @@ import pytest
 from rcreg import (
     AdaLassoConfig,
     DomainError,
+    SecondStage,
+    SimConfig,
     SingularGramError,
     adaptive_lasso,
+    dgp_sample,
     kkt_residual,
     lambda_max,
     lambda_path,
@@ -255,6 +258,137 @@ def test_fortran_ordered_design_gives_the_same_path():
         assert c.converged and f.converged
         assert np.array_equal(c.active_set, f.active_set)
         assert np.max(np.abs(c.beta - f.beta)) <= 1e-12 * np.max(np.abs(c.beta), initial=1.0)
+
+
+def _cross_check_instance(seed):
+    """Gaussian, three-point, orthonormal or badly scaled design (by ``seed % 4``), with
+    unpenalized, zero-init and negative-init coordinates under a random mask."""
+    rng = np.random.default_rng(seed + 500)
+    n, p = 120, int(rng.integers(4, 11))
+    if seed % 4 == 2:
+        X = orthonormal_design(seed + 500, n=n, p=p)
+    else:
+        W = rng.normal(size=(n, p - 1))
+        if seed % 4 == 1:
+            W = rng.integers(-1, 2, size=(n, p - 1)).astype(float)
+        elif seed % 4 == 3:
+            W *= 10.0 ** rng.uniform(-3.0, 3.0, p - 1)
+        X = np.concatenate([np.ones((n, 1)), W], axis=1)
+    beta = rng.uniform(-2, 2, p) * (rng.random(p) < 0.6)
+    Y = X @ beta + rng.normal(size=n)
+    init = rng.uniform(-2, 2, p) * (rng.random(p) < 0.9)
+    return X, Y, AdaLassoConfig(lam=0.0, init=init, penalize_mask=rng.random(p) < 0.8)
+
+
+def _refactoring_at_every_breakpoint(monkeypatch, sizes):
+    """Make the walk re-read every segment with ``inv(G_AA)`` formed from ``G[A, A]`` anew,
+    recording each segment's active-set size in ``sizes``."""
+    kept = estimate._segments
+
+    def from_scratch(*args):
+        segments = kept(*args)
+        next(segments)
+        while True:
+            seg = segments.send(True)
+            sizes.append(seg.active.size)
+            while (yield seg):  # the walk's own refactor: this segment is already fresh
+                pass
+            next(segments)
+
+    monkeypatch.setattr(estimate, "_segments", from_scratch)
+
+
+def _refusing_refactors(monkeypatch):
+    """Make the walk fail if it asks to refactor, so its levels come from the updates alone."""
+    kept = estimate._segments
+
+    def updates_only(*args):
+        segments = kept(*args)
+        seg = next(segments)
+        while True:
+            if (yield seg):
+                raise AssertionError("the kept inverse drifted past the KKT tolerance")
+            seg = next(segments)
+
+    monkeypatch.setattr(estimate, "_segments", updates_only)
+
+
+class TestKeptInverse:
+    INSTANCES = 80
+
+    def test_path_matches_a_fresh_factor_at_every_breakpoint(self, monkeypatch):
+        leaves = 0
+        for seed in range(self.INSTANCES):
+            X, Y, cfg = _cross_check_instance(seed)
+            top = max(lambda_max(Y, X, cfg.init, cfg.penalize_mask), 1e-8)
+            grid = np.concatenate([np.geomspace(top, 1e-4 * top, 40), [0.0]])
+            with monkeypatch.context() as m:
+                _refusing_refactors(m)
+                path = lambda_path(Y, X, cfg, grid)
+            sizes = []
+            with monkeypatch.context() as m:
+                _refactoring_at_every_breakpoint(m, sizes)
+                reference = lambda_path(Y, X, cfg, grid)
+            leaves += int(np.count_nonzero(np.diff(sizes) < 0))
+            # beta in units of unit-RMS columns: the weighted problem is equivariant to
+            # column scale, so a badly scaled design's small columns carry no extra weight
+            root = np.sqrt(np.mean(X * X, axis=0))
+            for ours, ref in zip(path, reference):
+                assert ours.converged and ref.converged
+                assert np.array_equal(ours.active_set, ref.active_set)
+                scaled = ref.beta * root
+                assert (np.max(np.abs(ours.beta * root - scaled))
+                        <= 1e-10 * np.max(np.abs(scaled), initial=0.0))
+        assert leaves >= 1  # the downdate ran
+
+    def test_drifted_level_is_read_again_after_a_refactor(self, monkeypatch):
+        """Segments arrive with 1e-6 relative drift unless the walk asks for a refactor."""
+        X, Y, _ = random_regression(45, sparse=True)
+        cfg = AdaLassoConfig(lam=0.0, init=ols(Y, X))
+        grid = np.geomspace(lambda_max(Y, X, cfg.init), 1e-3, 20)
+        clean = lambda_path(Y, X, cfg, grid)
+        kept, refactors = estimate._segments, []
+
+        def drifting(*args):
+            segments = kept(*args)
+            seg = next(segments)
+            while True:
+                if (yield replace(seg, alpha=seg.alpha * (1.0 + 1e-6))):
+                    refactors.append(seg.lo)
+                    seg = segments.send(True)
+                    while (yield seg):
+                        pass
+                seg = next(segments)
+
+        monkeypatch.setattr(estimate, "_segments", drifting)
+        for ours, theirs in zip(lambda_path(Y, X, cfg, grid), clean):
+            assert ours.converged and ours.kkt_residual <= KKT_TOL
+            assert np.array_equal(ours.active_set, theirs.active_set)
+            assert np.max(np.abs(ours.beta - theirs.beta)) <= 1e-12 * np.max(np.abs(theirs.beta))
+        assert refactors
+
+    def test_near_collinear_column_raises_up_front(self):
+        X, Y, _ = random_regression(44)
+        z = np.random.default_rng(44).normal(size=X.shape[0])
+        X = np.concatenate([X, X[:, [2]] + 1e-9 * z[:, None]], axis=1)
+        init = np.ones(X.shape[1])
+        cfg = AdaLassoConfig(lam=1e6, init=init)  # every penalized coordinate is zero there
+        with pytest.raises(SingularGramError):
+            lambda_max(Y, X, init)
+        with pytest.raises(SingularGramError):
+            adaptive_lasso(Y, X, cfg)
+        with pytest.raises(SingularGramError):
+            lambda_path(Y, X, cfg, [1e6, 1.0])
+
+    def test_one_rank_test_per_walk(self, monkeypatch):
+        stage = SecondStage.from_data(dgp_sample(SimConfig(n=5000, p=20, seed=91), 0))
+        lmax = stage.lambda_max()
+        calls = []
+        rank = estimate.numeric_rank
+        monkeypatch.setattr(estimate, "numeric_rank", lambda *a: calls.append(1) or rank(*a))
+        sols = stage.path(np.geomspace(lmax, 1e-4 * lmax, 50))
+        assert sum(s.iterations for s in sols) >= 100
+        assert len(calls) <= 1
 
 
 class TestWitness:
