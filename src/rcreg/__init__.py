@@ -16,9 +16,7 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     DomainError,
-    ExplosionError,
     InfeasibleError,
-    NotIdentifiableError,
     RcregError,
     SingularDesignError,
     SingularGramError,

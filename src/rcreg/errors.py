@@ -13,25 +13,6 @@ class DomainError(RcregError, ValueError):
     """Input value lies outside the admissible domain."""
 
 
-class NotIdentifiableError(RcregError):
-    """The covariate support cannot identify the covariance matrix.
-
-    Carries the 1-based indices of covariates with fewer than three
-    support points.
-    """
-
-    def __init__(self, deficient_coordinates):
-        self.deficient_coordinates = list(deficient_coordinates)
-        super().__init__(
-            "covariance matrix not identifiable: coordinates "
-            f"{self.deficient_coordinates} have fewer than 3 support points"
-        )
-
-
-class ExplosionError(RcregError):
-    """A Cartesian support product exceeds the configured size cap."""
-
-
 class InfeasibleError(RcregError):
     """No positive semidefinite completion is consistent with the inputs."""
 

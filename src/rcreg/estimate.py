@@ -285,9 +285,6 @@ class SecondStage:
         cross = G, c, data.n, rows
         return cls(mu_hat, ysig, _ols(*cross), mask, *_gram(*cross))
 
-    def config(self, lam: float) -> AdaLassoConfig:
-        return AdaLassoConfig(lam, self.init, self.penalize_mask)
-
     def lambda_max(self) -> float:
         """:func:`lambda_max` of this stage."""
         return _lambda_max(self.G, self.b, self.init, self.penalize_mask)

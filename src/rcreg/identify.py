@@ -11,7 +11,6 @@ everything that is still identified.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,9 +20,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     DomainError,
-    ExplosionError,
     InfeasibleError,
-    NotIdentifiableError,
 )
 from .halfvec import check_tol, half_dim, min_eigenvalue, numeric_rank, v_transform_rows
 
@@ -85,7 +82,9 @@ class IdentReport:
 
     ``identified`` holds exactly when ``achieved_rank == full_dim``.
     Coordinates in ``deficient_coordinates`` are 1-based covariate indices
-    with fewer than three support points.
+    with fewer than three support points.  ``witness_points`` is the ranked
+    witness of :func:`cartesian_identifying_points`: p(p+1)/2 points when every
+    coordinate has three points, else one per rank the whole product reaches.
     """
 
     full_dim: int
@@ -187,76 +186,60 @@ def build_design_S(points) -> np.ndarray:
 
 
 def cartesian_identifying_points(spec: SupportSpec) -> list[np.ndarray]:
-    """p(p+1)/2 support points whose design matrix has full rank.
+    """Support points whose design matrix has the rank of the whole support.
 
     Uses the first three (sorted) levels a_j < b_j < c_j of each coordinate
     and enumerates: one point per coordinate at its second level, the base
     point (all first levels), one point per coordinate pair at their second
-    levels, and one point per coordinate at its third level.  All points lie
-    in the Cartesian product of the supports.
-
-    Raises
-    ------
-    NotIdentifiableError
-        If some coordinate has fewer than three support points.
+    levels, and one point per coordinate at its third level, skipping every
+    point that needs a level its coordinate lacks.  All points lie in the
+    Cartesian product of the supports; there are p(p+1)/2 of them exactly
+    when every coordinate has three levels.
     """
-    deficient = [j + 1 for j, pts in enumerate(spec.supports) if len(pts) < 3]
-    if deficient:
-        raise NotIdentifiableError(deficient)
-    q = spec.p_minus_1
+    two = [j for j, pts in enumerate(spec.supports) if len(pts) >= 2]
     base = np.array([pts[0] for pts in spec.supports])
     points = []
-    for j in range(q):
+    for j in two:
         w = base.copy()
         w[j] = spec.supports[j][1]
         points.append(w)
     points.append(base.copy())
-    for j in range(q):
-        for k in range(j + 1, q):
+    for i, j in enumerate(two):
+        for k in two[i + 1:]:
             w = base.copy()
             w[j] = spec.supports[j][1]
             w[k] = spec.supports[k][1]
             points.append(w)
-    for j in range(q):
-        w = base.copy()
-        w[j] = spec.supports[j][2]
-        points.append(w)
+    for j in two:
+        if len(spec.supports[j]) >= 3:
+            w = base.copy()
+            w[j] = spec.supports[j][2]
+            points.append(w)
     return points
 
 
 def check_identified(
     spec: SupportSpec,
     *,
-    product_cap: int = 1_000_000,
     rank_tol: float = 1e-10,
 ) -> IdentReport:
     """Decide identifiability of the coefficient covariance from the support.
 
-    If every coordinate has at least three points the witnessing set of
-    :func:`cartesian_identifying_points` is used.  Otherwise the design
-    matrix over the full Cartesian product is ranked, which reports how far
-    from identification the support is and which coordinates are to blame.
+    Ranks the design over :func:`cartesian_identifying_points`.  On a product
+    grid the monomials w^a with |a| <= 2 and a_j < |S_j| span the quadratic
+    forms (tensor-product interpolation), so that witness has the rank of the
+    whole Cartesian product: 1 + m2 + m3 + m2(m2-1)/2, with m2 (m3) the
+    coordinates of at least two (three) points.  For a deficient support
+    ``witness_points`` holds that rank-many witness, not the product.
 
     Raises
     ------
-    ExplosionError
-        If the Cartesian product exceeds ``product_cap`` points; subsample
-        the supports and retry.
     DomainError
         Unless ``rank_tol`` is finite and positive.
     """
     full_dim = half_dim(spec.p)
     deficient = tuple(j + 1 for j, pts in enumerate(spec.supports) if len(pts) < 3)
-    if not deficient:
-        points = cartesian_identifying_points(spec)
-    else:
-        size = math.prod(len(pts) for pts in spec.supports)
-        if size > product_cap:
-            raise ExplosionError(
-                f"Cartesian support product has {size} points (cap {product_cap}); "
-                "subsample the supports and retry"
-            )
-        points = [np.array(combo) for combo in itertools.product(*spec.supports)]
+    points = cartesian_identifying_points(spec)
     S = build_design_S(points)
     rank = numeric_rank(S, rank_tol)
     return IdentReport(

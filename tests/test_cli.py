@@ -35,6 +35,16 @@ class TestDumpJson:
         assert dump_json(np.bool_(True)) == "true"
 
 
+IDENTIFIED_GOLDEN = (
+    '{\n  "identified": true,\n  "rank": 6,\n  "full_dim": 6,\n  "deficient_coordinates": [],\n'
+    '  "witness_points": [\n'
+    '    [\n      0,\n      0\n    ],\n    [\n      -1,\n      1\n    ],\n'
+    '    [\n      -1,\n      0\n    ],\n    [\n      0,\n      1\n    ],\n'
+    '    [\n      1,\n      0\n    ],\n    [\n      -1,\n      2\n    ]\n'
+    '  ]\n}\n'
+)
+
+
 class TestIdentify:
     def test_identified_exit_zero(self, tmp_path, capsys):
         spec = write(tmp_path / "s.json", '{"supports": [[-1, 0, 1], [0, 1, 2]]}')
@@ -44,6 +54,15 @@ class TestIdentify:
         assert payload["identified"] is True
         assert payload["rank"] == payload["full_dim"] == 6
         assert len(payload["witness_points"]) == 6
+        assert out == IDENTIFIED_GOLDEN
+
+    def test_twenty_binary_coordinates_exit_two(self, tmp_path, capsys):
+        spec = write(tmp_path / "s.json", json.dumps({"supports": [[0, 1]] * 20}))
+        code, out, _ = run_cli(["identify", "--spec", spec], capsys)
+        assert code == 2
+        payload = json.loads(out)
+        assert (payload["rank"], payload["full_dim"]) == (211, 231)
+        assert len(payload["witness_points"]) == 211
 
     def test_binary_coordinate_exit_two(self, tmp_path, capsys):
         spec = write(tmp_path / "s.json", '{"supports": [[0, 1], [-1, 0, 1]]}')

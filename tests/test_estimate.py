@@ -146,12 +146,14 @@ class TestSecondStage:
         assert lmax == lambda_max(stage.ysig, xsig, stage.init, stage.penalize_mask)
         assert np.array_equal(stage.init, ols(stage.ysig, xsig))
         grid = np.geomspace(lmax, 1e-4 * lmax, 12)
-        direct = lambda_path(stage.ysig, xsig, stage.config(0.0), grid)
+        direct = lambda_path(stage.ysig, xsig, AdaLassoConfig(0.0, stage.init, stage.penalize_mask),
+                             grid)
         for ours, theirs in zip(stage.path(grid), direct):
             assert np.array_equal(ours.beta, theirs.beta)
             assert ours.kkt_residual == theirs.kkt_residual
         fit = fit_moments(data, grid[5], penalize)
-        solo = adaptive_lasso(stage.ysig, xsig, stage.config(grid[5]))
+        solo = adaptive_lasso(stage.ysig, xsig,
+                              AdaLassoConfig(grid[5], stage.init, stage.penalize_mask))
         assert np.array_equal(fit.sigma_hat, solo.beta)
 
     def test_one_block_stage_is_the_whole_design_bits(self):

@@ -14,8 +14,6 @@ from rcreg import (
     Classification,
     DimensionError,
     DomainError,
-    ExplosionError,
-    NotIdentifiableError,
     SupportSpec,
     binary_variance_interval,
     build_design_S,
@@ -69,11 +67,19 @@ class TestCartesianPoints:
         assert all(tuple(w) in prod for w in pts)
         assert numeric_rank(build_design_S(pts)) == half_dim(p)
 
-    def test_deficient_coordinate_raises(self):
+    def test_deficient_support_returns_rank_many_witness(self):
         spec = SupportSpec(((0.0, 1.0, 2.0), (0.0, 1.0), (3.0, 4.0)))
-        with pytest.raises(NotIdentifiableError) as err:
-            cartesian_identifying_points(spec)
-        assert err.value.deficient_coordinates == [2, 3]
+        pts = [tuple(w) for w in cartesian_identifying_points(spec)]
+        assert pts == [
+            (1.0, 0.0, 3.0), (0.0, 1.0, 3.0), (0.0, 0.0, 4.0),  # second levels
+            (0.0, 0.0, 3.0),  # base
+            (1.0, 1.0, 3.0), (1.0, 0.0, 4.0), (0.0, 1.0, 4.0),  # pairs
+            (2.0, 0.0, 3.0),  # third level, coordinate 1 only
+        ]
+        rep = check_identified(spec)
+        assert rep.witness_points == tuple(pts)
+        assert rep.achieved_rank == len(pts) == 8 < rep.full_dim == 10
+        assert rep.deficient_coordinates == (2, 3)
 
     @given(
         st.integers(min_value=1, max_value=7),
@@ -114,10 +120,30 @@ class TestCheckIdentified:
         rep = check_identified(SupportSpec(()))
         assert rep.identified and rep.full_dim == 1
 
-    def test_product_cap(self):
-        spec = SupportSpec(((0.0, 1.0), (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)))
-        with pytest.raises(ExplosionError):
-            check_identified(spec, product_cap=11)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_witness_rank_is_the_full_product_rank(self, q, seed):
+        """The witness reaches the rank of the design over every product point."""
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 5, size=q)
+        spec = SupportSpec(
+            tuple(tuple(rng.choice(np.arange(-20, 21), size=k, replace=False) / 2.0) for k in sizes)
+        )
+        rep = check_identified(spec)
+        product = numeric_rank(build_design_S(list(itertools.product(*spec.supports))))
+        m2 = sum(len(pts) >= 2 for pts in spec.supports)
+        m3 = sum(len(pts) >= 3 for pts in spec.supports)
+        assert rep.achieved_rank == len(rep.witness_points) == product
+        assert product == 1 + m2 + m3 + m2 * (m2 - 1) // 2
+
+    def test_twenty_binary_coordinates(self):
+        rep = check_identified(SupportSpec(((0.0, 1.0),) * 20))
+        assert (rep.achieved_rank, rep.full_dim) == (211, 231)
+        assert len(rep.witness_points) == 211
+        assert rep.deficient_coordinates == tuple(range(1, 21))
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     @pytest.mark.parametrize("supports", [((0.0, 1.0, 2.0),), ((0.0, 1.0), (0.0, 1.0, 2.0))])
@@ -133,7 +159,7 @@ class TestCheckIdentified:
     def test_report_consistency(self):
         rep = check_identified(SupportSpec(((0.0, 1.0), (0.0, 1.0, 2.0))))
         assert rep.identified == (rep.achieved_rank == rep.full_dim)
-        assert len(rep.witness_points) == 6  # full Cartesian product
+        assert len(rep.witness_points) == rep.achieved_rank == 5
 
     @given(
         st.integers(min_value=1, max_value=4),
@@ -141,7 +167,7 @@ class TestCheckIdentified:
     )
     @settings(max_examples=30, deadline=None)
     def test_binary_coordinate_never_full_rank(self, q, seed):
-        """Full Cartesian product with a binary coordinate loses at least one rank."""
+        """A binary coordinate loses at least one rank."""
         rng = np.random.default_rng(seed)
         supports = []
         for _ in range(q):
