@@ -29,7 +29,7 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    print(f"{'n':>8} {'rmse(mu)':>12} {'rmse(sigma_init)':>18}")
+    print(f"{'n':>8} {'rmse(mu)':>12} {'rmse(init)':>18}")
     prev = None
     for n in args.n:
         cfg = SimConfig(n=n, p=args.p, seed=args.seed, lam=0.0)

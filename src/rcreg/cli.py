@@ -222,12 +222,12 @@ def _cmd_fit(args) -> int:
         grid, sols, best = _fit_path(stage, pick=args.lam is None)
     fit = stage.moment_fit(sols[best] if args.lam is None else stage.path([args.lam])[0])
     payload = {
-        "mu_hat": fit.mu_hat,
-        "sigma_hat": fit.sigma_hat,
+        "mu_hat": fit.stage.mu_hat,
+        "sigma_hat": fit.solution.beta,
         "Sigma_hat": fit.Sigma_hat,
         "active_set": [int(k) for k in fit.solution.active_set],
         "psd": fit.psd,
-        "lambda_used": fit.lambda_used,
+        "lambda_used": fit.solution.lam,
     }
     if args.path_csv:
         _write_path_csv(args.path_csv, data.p, grid, sols)
@@ -269,9 +269,9 @@ def _cmd_simulate(args) -> int:
         raise RcregError(f"{args.config}: expected a JSON object")
     raw = dict(raw)
     n_field = raw.pop("n", None)
-    if n_field is None:
-        raise RcregError(f"{args.config}: missing required field 'n'")
     n_values = n_field if isinstance(n_field, list) else [n_field]
+    if n_field is None or not n_values:
+        raise RcregError(f"{args.config}: required field 'n' is missing or empty")
     lam_field = raw.pop("lambda", "auto")
     lam = None if (lam_field is None or lam_field == "auto") else lam_field
     if args.seed is not None:

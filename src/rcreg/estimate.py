@@ -154,23 +154,18 @@ class LassoSolution:
 
 @dataclass
 class MomentFit:
-    """Estimated first and second coefficient moments."""
+    """Estimated moments: means ``stage.mu_hat``, covariance entries ``solution.beta``."""
 
-    mu_hat: np.ndarray
-    sigma_hat: np.ndarray
+    stage: SecondStage
+    solution: LassoSolution
     Sigma_hat: np.ndarray
     psd: bool
-    lambda_used: float
-    sigma_init: np.ndarray
-    solution: LassoSolution
-    penalize_mask: np.ndarray | None = None
 
 
 @dataclass
 class SandwichEstimate:
     """Plug-in pieces of the selected coordinates' asymptotic covariance."""
 
-    c_hat: np.ndarray
     b_hat: np.ndarray
     avar_s: np.ndarray
     active_set: np.ndarray
@@ -299,11 +294,7 @@ class SecondStage:
             raise ConvergenceError(f"adaptive lasso did not converge at lambda={sol.lam:.6g} after "
                                    f"{sol.iterations} breakpoints (KKT residual {sol.kkt_residual:.3g})")
         Sigma_hat = unvec_half(sol.beta, self.mu_hat.shape[0])
-        return MomentFit(
-            mu_hat=self.mu_hat, sigma_hat=sol.beta, Sigma_hat=Sigma_hat,
-            psd=bool(min_eigenvalue(Sigma_hat) >= -PSD_TOL), lambda_used=sol.lam,
-            sigma_init=self.init, solution=sol, penalize_mask=self.penalize_mask,
-        )
+        return MomentFit(self, sol, Sigma_hat, bool(min_eigenvalue(Sigma_hat) >= -PSD_TOL))
 
 
 def _levels(grid) -> np.ndarray:
@@ -658,26 +649,27 @@ def select_means(data: Dataset, lambda_mu: float) -> LassoSolution:
 def sandwich(data: Dataset, fit: MomentFit) -> SandwichEstimate:
     """Plug-in sandwich covariance of the selected covariance coordinates.
 
-    The outer matrix is the empirical Gram of the transformed design; the
+    The outer matrix is the stage's Gram ``G`` of the transformed design; the
     middle matrix reweights it by squared second-stage residuals, whose
     conditional mean matches the heteroscedastic noise level row by row.
-    Both are summed over row blocks of the design, which is never held whole.
+    It is summed over row blocks of the fitted data's design, never held whole.
     The reported block inverts the Gram restricted to the active set, which
     is the limit law of the selected coordinates.  Treat the output as a
     diagnostic: it ignores selection uncertainty, so it is not a basis for
     formal inference.
     """
-    rows = _design_blocks(data.X, _squared_residuals(data, fit.mu_hat))
-    sums = ((X.T @ X, (X * ((Y - X @ fit.sigma_hat) ** 2)[:, None]).T @ X) for X, Y in rows())
-    c_hat, b_hat = (reduce(np.add, t) / data.n for t in zip(*sums))
-    c_hat = (c_hat + c_hat.T) / 2.0
+    stage, beta = fit.stage, fit.solution.beta
+    if data.n != stage.ysig.size or data.p != stage.mu_hat.size:
+        raise DimensionError(f"data has n={data.n}, p={data.p} but the fit was made on "
+                             f"n={stage.ysig.size}, p={stage.mu_hat.size}")
+    rows = _design_blocks(data.X, stage.ysig)
+    b_hat = reduce(np.add, ((X * ((Y - X @ beta) ** 2)[:, None]).T @ X
+                            for X, Y in rows())) / data.n
     b_hat = (b_hat + b_hat.T) / 2.0
     S = fit.solution.active_set
     if S.size == 0:
-        return SandwichEstimate(
-            c_hat=c_hat, b_hat=b_hat, avar_s=np.zeros((0, 0)), active_set=S
-        )
-    Css = c_hat[np.ix_(S, S)]
+        return SandwichEstimate(b_hat=b_hat, avar_s=np.zeros((0, 0)), active_set=S)
+    Css = stage.G[np.ix_(S, S)]
     if numeric_rank(Css) < S.size:
         raise SingularGramError(
             "Gram matrix restricted to the active set is numerically singular"
@@ -685,4 +677,4 @@ def sandwich(data: Dataset, fit: MomentFit) -> SandwichEstimate:
     inner = np.linalg.solve(Css, b_hat[np.ix_(S, S)])
     avar = np.linalg.solve(Css, inner.T).T
     avar = (avar + avar.T) / 2.0
-    return SandwichEstimate(c_hat=c_hat, b_hat=b_hat, avar_s=avar, active_set=S)
+    return SandwichEstimate(b_hat=b_hat, avar_s=avar, active_set=S)

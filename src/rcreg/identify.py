@@ -230,7 +230,10 @@ def check_identified(
     forms (tensor-product interpolation), so that witness has the rank of the
     whole Cartesian product: 1 + m2 + m3 + m2(m2-1)/2, with m2 (m3) the
     coordinates of at least two (three) points.  For a deficient support
-    ``witness_points`` holds that rank-many witness, not the product.
+    ``witness_points`` holds that rank-many witness, not the product.  The
+    witness is ranked against ``rank_tol`` with each coordinate's levels mapped
+    to [-1, 1] by midpoint and half-range (one level: only centred); the exact
+    rank is invariant under such affine maps, so units do not sway the verdict.
 
     Raises
     ------
@@ -240,8 +243,11 @@ def check_identified(
     full_dim = half_dim(spec.p)
     deficient = tuple(j + 1 for j, pts in enumerate(spec.supports) if len(pts) < 3)
     points = cartesian_identifying_points(spec)
-    S = build_design_S(points)
-    rank = numeric_rank(S, rank_tol)
+    W = np.array(points)
+    lo, hi = W.min(axis=0) / 2.0, W.max(axis=0) / 2.0  # halved: hi - lo may overflow
+    X = np.ones((W.shape[0], W.shape[1] + 1))
+    X[:, 1:] = (W - (lo + hi)) / np.where(hi > lo, hi - lo, 1.0)
+    rank = numeric_rank(v_transform_rows(X), rank_tol)
     return IdentReport(
         full_dim=full_dim,
         achieved_rank=rank,

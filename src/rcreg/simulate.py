@@ -220,10 +220,10 @@ def run_replication(cfg: SimConfig, rep_index: int) -> RepResult:
     data = dgp_sample(cfg, rep_index)
     fit = fit_moments(data, cfg.lam)
     _, sigma_star = true_moments(cfg)
-    est_sign = np.sign(fit.sigma_hat).astype(int)
+    est_sign = np.sign(fit.solution.beta).astype(int)
     true_sign = np.sign(sigma_star).astype(int)
-    penalized = fit.penalize_mask
-    est_nz = fit.sigma_hat != 0.0
+    penalized = fit.stage.penalize_mask
+    est_nz = fit.solution.beta != 0.0
     true_nz = sigma_star != 0.0
     fp = int(np.count_nonzero(penalized & est_nz & ~true_nz))
     fn = int(np.count_nonzero(penalized & ~est_nz & true_nz))

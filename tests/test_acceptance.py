@@ -256,11 +256,9 @@ def test_criterion_7_root_n_consistency_rates():
             sig_errs, mu_errs = [], []
             for i in range(300):
                 data = draw_dataset(n, seed=500 + i)
-                mu_hat = ols(data.Y, data.X)
-                stage = rcreg.build_second_stage(data, mu_hat)
-                init = ols(stage.ysig, stage.xsig)
-                sig_errs.append(np.sum((init - SIGMA1_HALFVEC) ** 2))
-                mu_errs.append(np.sum((mu_hat - MU1) ** 2))
+                stage = rcreg.SecondStage.from_data(data)
+                sig_errs.append(np.sum((stage.init - SIGMA1_HALFVEC) ** 2))
+                mu_errs.append(np.sum((stage.mu_hat - MU1) ** 2))
             out[n] = (
                 float(np.sqrt(np.mean(sig_errs))),
                 float(np.sqrt(np.mean(mu_errs))),
@@ -280,8 +278,9 @@ def test_criterion_8_sandwich_variance_agreement():
         for i in range(500):
             data = draw_dataset(n, seed=1000 + i)
             fit = fit_moments(data, lam)
-            if np.array_equal(np.sign(fit.sigma_hat), np.sign(SIGMA1_HALFVEC)):
-                devs.append(np.sqrt(n) * (fit.sigma_hat[SUPPORT4] - SIGMA1_HALFVEC[SUPPORT4]))
+            sigma_hat = fit.solution.beta
+            if np.array_equal(np.sign(sigma_hat), np.sign(SIGMA1_HALFVEC)):
+                devs.append(np.sqrt(n) * (sigma_hat[SUPPORT4] - SIGMA1_HALFVEC[SUPPORT4]))
                 avars.append(np.diagonal(sandwich(data, fit).avar_s))
         assert len(devs) >= 300
         empirical = np.asarray(devs).var(axis=0, ddof=1)

@@ -480,6 +480,13 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert err == "rcreg: the input needs more memory than is available\n"
 
+    def test_empty_n_exit_one_before_writing(self, tmp_path, capsys):
+        cfg = write(tmp_path / "sim.json", SIM_CONFIG % '"n": []')
+        code, out, err = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "r")], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("rcreg: ") and err.count("\n") == 1 and "'n'" in err
+        assert not (tmp_path / "r").exists()
+
     def test_unknown_field_exit_one(self, tmp_path, capsys):
         cfg = write(tmp_path / "sim.json", '{"n": 500, "bogus": 1}')
         code, _, err = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "r")], capsys)

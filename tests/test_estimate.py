@@ -154,7 +154,7 @@ class TestSecondStage:
         fit = fit_moments(data, grid[5], penalize)
         solo = adaptive_lasso(stage.ysig, xsig,
                               AdaLassoConfig(grid[5], stage.init, stage.penalize_mask))
-        assert np.array_equal(fit.sigma_hat, solo.beta)
+        assert np.array_equal(fit.solution.beta, solo.beta)
 
     def test_one_block_stage_is_the_whole_design_bits(self):
         n = estimate._BLOCK_ROWS
@@ -213,24 +213,24 @@ class TestFitMoments:
         fit = fit_moments(data, 1e-6)
         penalized = np.ones(half_dim(data.p), dtype=bool)
         penalized[0] = False
-        assert np.array_equal(fit.sigma_hat[penalized], np.zeros(penalized.sum()))
-        assert np.max(np.abs(fit.mu_hat - a)) <= 1e-8
+        assert np.array_equal(fit.solution.beta[penalized], np.zeros(penalized.sum()))
+        assert np.max(np.abs(fit.stage.mu_hat - a)) <= 1e-8
         assert fit.psd
 
     def test_zero_lambda_equals_second_stage_ols(self):
         data = draw_dataset(2500, seed=8)
         fit = fit_moments(data, 0.0)
-        stage = build_second_stage(data, fit.mu_hat)
+        stage = build_second_stage(data, fit.stage.mu_hat)
         direct = ols(stage.ysig, stage.xsig)
-        assert np.max(np.abs(fit.sigma_hat - direct)) <= 1e-6
-        assert np.array_equal(fit.sigma_init, direct)
+        assert np.max(np.abs(fit.solution.beta - direct)) <= 1e-6
+        assert np.array_equal(fit.stage.init, direct)
 
     def test_reconstruction_consistency(self):
         data = draw_dataset(3000, seed=9)
         fit = fit_moments(data, 2.0)
-        assert np.array_equal(vec_half(fit.Sigma_hat), fit.sigma_hat)
+        assert np.array_equal(vec_half(fit.Sigma_hat), fit.solution.beta)
         assert fit.psd == (min_eigenvalue(fit.Sigma_hat) >= -1e-9)
-        assert fit.lambda_used == 2.0
+        assert fit.solution.lam == 2.0
 
     def test_nonconvergence_raises(self, monkeypatch):
         data = draw_dataset(2500, seed=8)
@@ -312,13 +312,12 @@ class TestSandwich:
         """Empirical Gram of v(X) against the exact 9-point enumeration, p=3."""
         data = draw_dataset(100_000, seed=14, mu=np.zeros(3), cov=np.eye(3),
                             n_covariates=2, law="three_point")
-        fit = fit_moments(data, 0.0)
-        est = sandwich(data, fit)
-        exact = np.zeros_like(est.c_hat)
+        c_hat = fit_moments(data, 0.0).stage.G
+        exact = np.zeros_like(c_hat)
         for combo in itertools.product([-1.0, 0.0, 1.0], repeat=2):
             vx = v_transform(np.array([1.0, *combo]))
             exact += np.outer(vx, vx) / 9.0
-        rel = np.linalg.norm(est.c_hat - exact) / np.linalg.norm(exact)
+        rel = np.linalg.norm(c_hat - exact) / np.linalg.norm(exact)
         assert rel <= 0.05
 
     def test_middle_matrix_matches_enumeration_oracle(self):
@@ -342,15 +341,15 @@ class TestSandwich:
         fit = fit_moments(data, 0.0)
         est = sandwich(data, fit)
         assert np.linalg.norm(est.b_hat - b_exact) / np.linalg.norm(b_exact) <= 0.10
-        assert np.linalg.norm(est.c_hat - c_exact) / np.linalg.norm(c_exact) <= 0.01
+        assert np.linalg.norm(fit.stage.G - c_exact) / np.linalg.norm(c_exact) <= 0.01
 
     @staticmethod
     def _on_the_whole_design(data, fit):
         """``c_hat`` and ``b_hat`` formed from the whole n x d design at once."""
-        whole = build_second_stage(data, fit.mu_hat)
+        whole = build_second_stage(data, fit.stage.mu_hat)
         xsig, n = whole.xsig, data.n
         c_hat = (xsig.T @ xsig) / n
-        omega = (whole.ysig - xsig @ fit.sigma_hat) ** 2
+        omega = (whole.ysig - xsig @ fit.solution.beta) ** 2
         b_hat = (xsig * omega[:, None]).T @ xsig / n
         return (c_hat + c_hat.T) / 2.0, (b_hat + b_hat.T) / 2.0
 
@@ -361,8 +360,8 @@ class TestSandwich:
         est = sandwich(data, fit)
         c_hat, b_hat = self._on_the_whole_design(data, fit)
         if n <= estimate._BLOCK_ROWS:
-            assert np.array_equal(est.c_hat, c_hat) and np.array_equal(est.b_hat, b_hat)
-        for ours, theirs in [(est.c_hat, c_hat), (est.b_hat, b_hat)]:
+            assert np.array_equal(fit.stage.G, c_hat) and np.array_equal(est.b_hat, b_hat)
+        for ours, theirs in [(fit.stage.G, c_hat), (est.b_hat, b_hat)]:
             assert np.max(np.abs(ours - theirs)) <= 1e-12 * np.max(np.abs(theirs))
 
     def test_sandwich_holds_a_fraction_of_the_design(self):
@@ -380,9 +379,9 @@ class TestSandwich:
         data = draw_dataset(4000, seed=15)
         fit = fit_moments(data, 1.0)
         est = sandwich(data, fit)
-        assert np.array_equal(est.c_hat, est.c_hat.T)
+        assert np.array_equal(fit.stage.G, fit.stage.G.T)
         assert np.array_equal(est.b_hat, est.b_hat.T)
-        assert min_eigenvalue(est.c_hat) >= -1e-9
+        assert min_eigenvalue(fit.stage.G) >= -1e-9
         assert min_eigenvalue(est.b_hat) >= -1e-9
         assert est.avar_s.shape == (est.active_set.size, est.active_set.size)
 
@@ -395,20 +394,28 @@ class TestSandwich:
         data = Dataset(X=X, Y=rng.normal(size=n))
         d = half_dim(2)
         beta = np.array([1.0, 0.5, 0.5])
+        whole = build_second_stage(data, np.zeros(2))
+        G, b = estimate._gram(*estimate._cross(whole.ysig, whole.xsig))
+        stage = SecondStage(mu_hat=np.zeros(2), ysig=whole.ysig, init=np.ones(d),
+                            penalize_mask=np.ones(d, dtype=bool), G=G, b=b)
         fake = MomentFit(
-            mu_hat=np.zeros(2),
-            sigma_hat=beta,
-            Sigma_hat=unvec_half(beta, 2),
-            psd=True,
-            lambda_used=0.0,
-            sigma_init=np.ones(d),
+            stage=stage,
             solution=LassoSolution(
                 beta=beta, active_set=np.arange(d), kkt_residual=0.0,
                 iterations=1, converged=True, lam=0.0,
             ),
+            Sigma_hat=unvec_half(beta, 2),
+            psd=True,
         )
         with pytest.raises(SingularGramError):
             sandwich(data, fake)
+
+    @pytest.mark.parametrize("n, p", [(399, 4), (400, 3)])
+    def test_data_other_than_the_fits_rejected(self, n, p):
+        data = draw_dataset(400, seed=17)
+        fit = fit_moments(data, 1.0)
+        with pytest.raises(DimensionError, match="the fit was made on n=400, p=4"):
+            sandwich(Dataset(X=data.X[:n, :p], Y=data.Y[:n]), fit)
 
 
 class TestMomentIdentityOracle:

@@ -4,6 +4,7 @@ import itertools
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,20 @@ class TestCheckIdentified:
         m3 = sum(len(pts) >= 3 for pts in spec.supports)
         assert rep.achieved_rank == len(rep.witness_points) == product
         assert product == 1 + m2 + m3 + m2 * (m2 - 1) // 2
+
+    @pytest.mark.parametrize("offset", [0.0, 2020.0, 1e6])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4, 1e6, 1e200])
+    def test_verdict_does_not_depend_on_the_units(self, scale, offset):
+        """An affine map of a coordinate changes neither the rank nor the verdict."""
+        three = tuple(offset + scale * v for v in (-1.0, 0.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_identified(SupportSpec((three, (0.0, 1.0, 2.0), three)))
+            binary = check_identified(SupportSpec((three, (offset, offset + scale))))
+        assert rep.identified and rep.achieved_rank == rep.full_dim == 10
+        assert {w[0] for w in rep.witness_points} == set(three)
+        assert not binary.identified and binary.deficient_coordinates == (2,)
+        assert (binary.achieved_rank, binary.full_dim) == (5, 6)
 
     def test_twenty_binary_coordinates(self):
         rep = check_identified(SupportSpec(((0.0, 1.0),) * 20))

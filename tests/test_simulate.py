@@ -15,11 +15,9 @@ from rcreg import (
     DomainError,
     SecondStage,
     SimConfig,
-    build_second_stage,
     dgp_sample,
     half_dim,
     monte_carlo,
-    ols,
     run_replication,
     true_moments,
     tune_lambda,
@@ -309,10 +307,7 @@ class TestTrends:
             _, sigma_star = true_moments(cfg)
             for i in range(300):
                 data = dgp_sample(cfg, i)
-                mu_hat = ols(data.Y, data.X)
-                stage = build_second_stage(data, mu_hat)
-                init = ols(stage.ysig, stage.xsig)
-                errs.append(np.sum((init - sigma_star) ** 2))
+                errs.append(np.sum((SecondStage.from_data(data).init - sigma_star) ** 2))
             out[n] = float(np.sqrt(np.mean(errs)))
         ratio = out[4000] / out[1000]
         assert 0.4 <= ratio <= 0.65
