@@ -652,7 +652,8 @@ def sandwich(data: Dataset, fit: MomentFit) -> SandwichEstimate:
     The outer matrix is the stage's Gram ``G`` of the transformed design; the
     middle matrix reweights it by squared second-stage residuals, whose
     conditional mean matches the heteroscedastic noise level row by row.
-    It is summed over row blocks of the fitted data's design, never held whole.
+    It is summed over row blocks of the fitted data's design, never held whole;
+    data whose squared first-stage residuals differ from the stage's are refused.
     The reported block inverts the Gram restricted to the active set, which
     is the limit law of the selected coordinates.  Treat the output as a
     diagnostic: it ignores selection uncertainty, so it is not a basis for
@@ -662,6 +663,9 @@ def sandwich(data: Dataset, fit: MomentFit) -> SandwichEstimate:
     if data.n != stage.ysig.size or data.p != stage.mu_hat.size:
         raise DimensionError(f"data has n={data.n}, p={data.p} but the fit was made on "
                              f"n={stage.ysig.size}, p={stage.mu_hat.size}")
+    if not np.array_equal(_squared_residuals(data, stage.mu_hat), stage.ysig):
+        raise DomainError("data differ from those the fit was made on: their squared "
+                          "residuals at its mu_hat are not the stage's")
     rows = _design_blocks(data.X, stage.ysig)
     b_hat = reduce(np.add, ((X * ((Y - X @ beta) ** 2)[:, None]).T @ X
                             for X, Y in rows())) / data.n

@@ -18,6 +18,7 @@ import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -291,19 +292,27 @@ def _mc_worker(args) -> RepResult | None:
         return None
 
 
+def _worker_count() -> int:
+    """The RCREG_THREADS environment variable, else the CPU count."""
+    env = os.environ.get("RCREG_THREADS", "").strip()
+    if env and not (env.isdecimal() and int(env) > 0):
+        raise DomainError(f"RCREG_THREADS must be a positive integer, got {env!r}")
+    return int(env) if env else (os.cpu_count() or 1)
+
+
 def _run_jobs(fn, jobs: list, workers: int | None) -> list:
-    """``[fn(job) for job in jobs]``, in order, on a pool of up to ``workers``."""
-    if workers is None:
-        env = os.environ.get("RCREG_THREADS", "").strip()
-        if env and not (env.isdecimal() and int(env) > 0):
-            raise DomainError(f"RCREG_THREADS must be a positive integer, got {env!r}")
-        workers = int(env) if env else (os.cpu_count() or 1)
-    workers = max(1, min(int(workers), len(jobs)))
+    """``[fn(job) for job in jobs]``, in order, on a pool of up to ``workers``
+    (``_worker_count()`` if None); with one worker, in this process."""
+    workers = max(1, min(int(_worker_count() if workers is None else workers), len(jobs)))
     if workers == 1:
         return [fn(job) for job in jobs]
     chunk = max(1, len(jobs) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=chunk))
+        try:
+            return list(pool.map(fn, jobs, chunksize=chunk))
+        except BrokenProcessPool:
+            raise RcregError("a worker process died, perhaps for want of memory; "
+                             "RCREG_THREADS=1 runs the work in this process") from None
 
 
 def monte_carlo(cfg: SimConfig, workers: int | None = None) -> SimReport:

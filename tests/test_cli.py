@@ -1,8 +1,11 @@
 """Command-line surface: schemas, exit codes, goldens, round-trips."""
 
 import json
+import os
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,8 +222,7 @@ def _random_coefficient_csv(tmp_path, n=800, p=5, seed=1, y_scale=1.0):
 _ROWS = [[1.0, 2.0], [3.0, 4.0]]
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("body, expected", [
+_CONTRACT = pytest.mark.parametrize("body, expected", [
     ("y,w1\n1,2\n\n3,4\n", _ROWS),
     ("y,w1\n1,2\n   \n3,4\n", "row at line 3 has 1 fields, expected 2"),
     ("y,w1\r\n1,2\r\n3,4\r\n", _ROWS),
@@ -237,9 +239,15 @@ _ROWS = [[1.0, 2.0], [3.0, 4.0]]
     ("y,w1\n", "no data rows"),
     ("\ufeffy,w1\n1,2\n3,4\n", f"header must be 'y,w1,...,w{{p-1}}', got {chr(0xFEFF) + 'y,w1'!r}"),
     ("y,w1\n1,2\n", None),
+    ("y,w1\r1,2\r3,4\r", _ROWS),
+    ('"y\n",w1\n1,2\n3,4\n', _ROWS),
 ], ids=["blank", "whitespace", "crlf", "quoted", "hash", "padded", "underscore",
         "trailing-comma", "empty-field", "nan", "infinity", "hex", "no-final-newline",
-        "header-only", "bom", "single-row"])
+        "header-only", "bom", "single-row", "cr", "quoted-newline-in-header"])
+
+
+@pytest.mark.filterwarnings("error")
+@_CONTRACT
 def test_csv_reader_contract(tmp_path, capsys, body, expected):
     """What ``rcreg fit`` reads from a CSV, and the one stderr line it gives otherwise."""
     path = tmp_path / "d.csv"
@@ -250,6 +258,90 @@ def test_csv_reader_contract(tmp_path, capsys, body, expected):
         return
     line = f"rcreg: {path}: {expected}" if expected else "rcreg: need n >= p, got n=1, p=2"
     assert run_cli(["fit", "--data", str(path), "--lambda", "0"], capsys) == (1, "", line + "\n")
+
+
+@pytest.mark.filterwarnings("error")
+@_CONTRACT
+def test_csv_reader_contract_in_byte_ranges(tmp_path, capsys, monkeypatch, body, expected):
+    """The same contract when two pool workers parse ranges cut a few bytes apart."""
+    monkeypatch.setattr(cli, "_RANGE_BYTES", 3)
+    monkeypatch.setenv("RCREG_THREADS", "2")
+    test_csv_reader_contract(tmp_path, capsys, body, expected)
+
+
+def _parse_in_ranges(monkeypatch, path, workers):
+    """``_read_dataset_csv(path)`` with ranges of 64 bytes, as many as ``workers``."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_RANGE_BYTES", 64)
+        m.setenv("RCREG_THREADS", str(workers))
+        return cli._read_dataset_csv(path)
+
+
+class TestByteRanges:
+    def test_ranges_parse_bit_identical_to_one(self, tmp_path, monkeypatch):
+        path = _random_coefficient_csv(tmp_path, n=300, p=5)
+        jobs, readers = [], []
+        run, reader = cli._run_jobs, cli.csv.reader
+        monkeypatch.setattr(cli, "_run_jobs", lambda fn, js, w: jobs.append(js) or run(fn, js, w))
+        monkeypatch.setattr(cli.csv, "reader", lambda fh: readers.append(1) or reader(fh))
+        one = _parse_in_ranges(monkeypatch, path, 1)
+        split = _parse_in_ranges(monkeypatch, path, 3)
+        assert len(readers) == 2  # each parse read its header, and no line-numbered scan ran
+        (whole,), ranges = jobs
+        assert len(ranges) == 3 and ranges[0][1] == whole[1] and ranges[-1][2] == whole[2]
+        assert all(a[2] == b[1] for a, b in zip(ranges, ranges[1:]))
+        for ours, theirs in [(split.X, one.X), (split.Y, one.Y)]:
+            assert ours.tobytes() == theirs.tobytes()
+
+    def test_fit_bytes_do_not_depend_on_the_worker_count(self, tmp_path, capsys, monkeypatch):
+        data = _random_coefficient_csv(tmp_path, n=600, p=5)
+        monkeypatch.setattr(cli, "_RANGE_BYTES", 1024)
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RCREG_THREADS", threads)
+            fit, path = tmp_path / f"fit{threads}.json", tmp_path / f"path{threads}.csv"
+            code, _, err = run_cli(["fit", "--data", data, "--auto", "--path-csv", str(path),
+                                    "--out", str(fit)], capsys)
+            assert (code, err) == (0, "")
+            outputs.append((fit.read_bytes(), path.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_fifo_is_read_whole(self, tmp_path):
+        regular = _random_coefficient_csv(tmp_path, n=200, p=5)
+        fifo = tmp_path / "d.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(Path(regular).read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        try:
+            piped = cli._read_dataset_csv(str(fifo))
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        expected = cli._read_dataset_csv(regular)
+        assert np.array_equal(piped.X, expected.X) and np.array_equal(piped.Y, expected.Y)
+
+    def test_small_csv_starts_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a CSV of one range must be parsed in this process")
+
+        monkeypatch.delenv("RCREG_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+        assert cli._read_dataset_csv(_random_coefficient_csv(tmp_path, n=2000, p=5)).n == 2000
+
+    def test_dead_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_parse_range", _die)
+        monkeypatch.setattr(cli, "_RANGE_BYTES", 64)
+        monkeypatch.setenv("RCREG_THREADS", "2")
+        data = _random_coefficient_csv(tmp_path, n=50)
+        code, out, err = run_cli(["fit", "--data", data, "--lambda", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and "RCREG_THREADS=1" in err
+
+
+def _die(*args):
+    os._exit(3)
 
 
 class TestFit:
@@ -481,11 +573,21 @@ class TestSimulate:
         assert err == "rcreg: the input needs more memory than is available\n"
 
     def test_empty_n_exit_one_before_writing(self, tmp_path, capsys):
-        cfg = write(tmp_path / "sim.json", SIM_CONFIG % '"n": []')
+        for field, named in [('"n": []', "'n'"), ('"n": [3000, 0]', "n, ")]:
+            cfg = write(tmp_path / "sim.json", SIM_CONFIG % field)
+            code, out, err = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "r")],
+                                     capsys)
+            assert (code, out) == (1, "")
+            assert err.startswith("rcreg: ") and err.count("\n") == 1 and named in err
+            assert not (tmp_path / "r").exists()
+
+    def test_dead_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simulate, "run_replication", _die)
+        monkeypatch.setenv("RCREG_THREADS", "2")
+        cfg = write(tmp_path / "sim.json", SIM_CONFIG % '"n": 500')
         code, out, err = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "r")], capsys)
         assert (code, out) == (1, "")
-        assert err.startswith("rcreg: ") and err.count("\n") == 1 and "'n'" in err
-        assert not (tmp_path / "r").exists()
+        assert len(err.splitlines()) == 1 and "RCREG_THREADS=1" in err
 
     def test_unknown_field_exit_one(self, tmp_path, capsys):
         cfg = write(tmp_path / "sim.json", '{"n": 500, "bogus": 1}')

@@ -417,6 +417,11 @@ class TestSandwich:
         with pytest.raises(DimensionError, match="the fit was made on n=400, p=4"):
             sandwich(Dataset(X=data.X[:n, :p], Y=data.Y[:n]), fit)
 
+    def test_another_draw_of_the_same_shape_rejected(self):
+        fit = fit_moments(draw_dataset(400, seed=17), 1.0)
+        with pytest.raises(DomainError, match="the fit was made on"):
+            sandwich(draw_dataset(400, seed=18), fit)
+
 
 class TestMomentIdentityOracle:
     def test_gaussian_law(self):
