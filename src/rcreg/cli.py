@@ -156,12 +156,16 @@ def _cmd_bounds(args) -> int:
 _RANGE_BYTES = 1 << 22
 
 
-def _parse_body(fh) -> np.ndarray:
-    """numpy's parse of the rest of ``fh``; input it refuses reads as an empty array."""
+def _parse_bytes(chunk: bytes) -> np.ndarray:
+    """numpy's parse of the rows in ``chunk``; input it refuses reads as an empty array.
+    Bare-CR line ends, which numpy refuses, read as newlines in a chunk without one."""
+    if b"\n" not in chunk:
+        chunk = chunk.replace(b"\r", b"\n")
     try:
         with warnings.catch_warnings():  # a body without rows warns "no data"
             warnings.simplefilter("ignore", UserWarning)
-            return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
+            return np.loadtxt(io.BytesIO(chunk), delimiter=",", comments=None, ndmin=2,
+                              encoding="utf-8")
     except ValueError:
         return np.empty((0, 0))
 
@@ -171,28 +175,21 @@ def _parse_range(job) -> np.ndarray:
     path, start, stop = job
     with open(path, "rb") as fh:
         fh.seek(start)
-        chunk = fh.read(stop - start)
-    return _parse_body(io.BytesIO(chunk))
+        return _parse_bytes(fh.read(stop - start))
 
 
-def _parse_ranges(text, start: int, path: str) -> list[np.ndarray]:
-    """The body from byte ``start``, cut at newlines into ranges parsed on the worker pool.
-
-    A stream that is not a regular file has no size to cut; the rest of ``text`` is
-    read whole, here.
-    """
-    fh = text.buffer
-    info = os.fstat(fh.fileno())
-    if not stat.S_ISREG(info.st_mode):
-        return [_parse_body(text)]
-    body = info.st_size - start
+def _parse_ranges(fh, start: int, path: str) -> list[np.ndarray]:
+    """The body of the regular file ``fh`` from byte ``start``, cut at newlines into ranges
+    parsed on the worker pool."""
+    size = os.fstat(fh.fileno()).st_size
+    body = size - start
     k = min(_worker_count(), body // _RANGE_BYTES)
     cuts = [start]
     for i in range(1, k):
         fh.seek(max(cuts[-1], start + body * i // k))
         fh.readline()
         cuts.append(fh.tell())
-    cuts.append(info.st_size)
+    cuts.append(size)
     jobs = [(path, a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
     return _run_jobs(_parse_range, jobs, len(jobs))
 
@@ -214,7 +211,13 @@ def _read_dataset_csv(path: str) -> Dataset:
             raise RcregError(
                 f"{path}: header must be 'y,w1,...,w{{p-1}}', got {','.join(header)!r}"
             )
-        parts = _parse_ranges(fh, len("".join(lines).encode("utf-8")), path)
+        start = len("".join(lines).encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            parts = _parse_ranges(fh.buffer, start, path)
+        else:  # a pipe has no size to cut and cannot be read twice: hold its bytes
+            raw = ("".join(lines) + fh.read()).encode("utf-8")
+            fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+            parts = [_parse_bytes(raw[start:])]
         if parts and all(a.shape[0] and a.shape[1] == len(header) and np.all(np.isfinite(a))
                          for a in parts):
             n = sum(a.shape[0] for a in parts)

@@ -16,8 +16,8 @@ variance by default) ignore their initial estimate entirely.
 
 Stage two of a dataset is one :class:`SecondStage`, built once by
 ``SecondStage.from_data``; fits at one level and paths share it.  Its
-n x p(p+1)/2 design is formed ``_BLOCK_ROWS`` rows at a time, whole only
-for an SVD solve when the Gram is too ill-conditioned.
+n x p(p+1)/2 design is formed ``_BLOCK_ROWS`` rows at a time, never whole.
+Every Gram matrix is judged by one rank rule, :func:`_unit_diagonal`.
 
 The solver follows the exact piecewise-linear solution path in Gram form
 (X'X/n, X'y/n): one walk serves a whole grid of levels, and a single level
@@ -182,13 +182,11 @@ class WitnessReport:
 
 
 def ols(Y, X) -> np.ndarray:
-    """Least squares coefficients; the design must have full column rank.
+    """Least squares coefficients; X and Y must be finite, X of full column rank.
 
-    Rank is judged from the singular values of an SVD solve (relative
-    threshold 1e-10, as in :func:`rcreg.halfvec.numeric_rank`).  A design
-    whose Gram ``G = X'X`` has eigenvalues min > 1e-8 max has cond(X) < 1e4,
-    which that rule never rejects; it is solved from G, plus one step of
-    iterative refinement, which undoes the squared conditioning.
+    Full rank: ``X'X`` scaled to unit diagonal has no singular value at or
+    below 1e-10 of its largest, that is a column-scaled cond(X) under about
+    1e5.  The solve uses that scaled Gram plus one step of iterative refinement.
     """
     return _ols(*_cross(Y, X, "least squares"))
 
@@ -203,22 +201,26 @@ def _cross(Y, X, use: str = "the lasso solver"):
     return X.T @ X, X.T @ Y, X.shape[0], lambda: [(X, Y)]
 
 
+def _unit_diagonal(G, error, what: str):
+    """``(root, G / outer(root, root))``, ``root = sqrt(diag G)``; raises ``error`` unless
+    that has full :func:`numeric_rank`.  Unit column norms bring cond(X) within sqrt(d)
+    of its best column scaling (van der Sluis 1969), and make the rule unit-free."""
+    root = np.sqrt(np.diagonal(G))
+    if np.all(root > 0.0):
+        scaled = G / np.outer(root, root)
+        if numeric_rank(scaled) == G.shape[0]:
+            return root, scaled
+    raise error(f"{what} is numerically singular")
+
+
 def _ols(G, c, n, rows) -> np.ndarray:
     """:func:`ols` from ``G = X'X``, ``c = X'Y`` of the n rows ``rows()`` gives as ``(X, Y)``
-    blocks: the refinement reads a block at a time, the SVD solve stacks them."""
-    d = G.shape[0]
-    if n >= d:
-        if d and np.all(np.isfinite(G)):
-            w = np.linalg.eigvalsh(G)
-            if w[0] > 1e-8 * w[-1]:
-                beta = np.linalg.solve(G, c)
-                r = reduce(np.add, (X.T @ (Y - X @ beta) for X, Y in rows()))
-                return beta + np.linalg.solve(G, r)
-        X, Y = map(np.concatenate, zip(*rows()))
-        beta, _, _, svals = np.linalg.lstsq(X, Y, rcond=None)
-        if svals.size and np.count_nonzero(svals > 1e-10 * svals[0]) == d:
-            return beta
-    raise SingularDesignError(f"design with shape {(n, d)} is rank deficient; cannot solve")
+    blocks; the refinement reads a block at a time."""
+    G, b = _gram(G, c, n)
+    root, scaled = _unit_diagonal(G, SingularDesignError, f"design with shape {(n, G.shape[0])}")
+    beta = np.linalg.solve(scaled, b / root) / root
+    r = reduce(np.add, (X.T @ (Y - X @ beta) for X, Y in rows())) / n
+    return beta + np.linalg.solve(scaled, r / root) / root
 
 
 def build_second_stage(data: Dataset, mu_hat) -> SecondStageDesign:
@@ -334,7 +336,7 @@ def _gram(G, c, n, *_rows):
     """Validated Gram form ``(X'X/n, X'Y/n)`` of the least squares loss, from :func:`_cross`."""
     G, b = G / n, c / n
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(b))):
-        raise DomainError("the lasso solver needs finite X and Y")
+        raise DomainError("least squares needs finite X and Y")
     return G, b
 
 
@@ -415,11 +417,8 @@ def _segments(G, b, scale, excluded):
     w = 1.0 / scale
     penalized = ~excluded & (w > 0.0)
     free = np.flatnonzero(~excluded)
-    G_free = G[np.ix_(free, free)]
-    root = np.sqrt(np.diagonal(G_free))
-    if not np.all(root > 0.0) or numeric_rank(G_free / np.outer(root, root)) < free.size:
-        raise SingularGramError("Gram matrix over the coordinates the path may activate "
-                                "is numerically singular")
+    _unit_diagonal(G[np.ix_(free, free)], SingularGramError,
+                   "Gram matrix over the coordinates the path may activate")
     A = np.flatnonzero(~excluded & ~penalized)  # unpenalized coordinates never leave
     Ginv = np.linalg.inv(G[np.ix_(A, A)])
     sign = np.zeros(b.shape[0])
@@ -575,10 +574,8 @@ def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> Wit
     mask[S] = True
     Sc = np.flatnonzero(~mask)
     Xs = X[:, S]
-    if numeric_rank(Xs) < S.size:
-        raise SingularDesignError("design restricted to S is rank deficient")
-
     Gs = Xs.T @ Xs
+    _unit_diagonal(Gs, SingularDesignError, "design restricted to S")
     if beta_star is not None:
         beta_star = np.asarray(beta_star, dtype=float).reshape(-1)
         if beta_star.shape[0] != p:
@@ -673,12 +670,10 @@ def sandwich(data: Dataset, fit: MomentFit) -> SandwichEstimate:
     S = fit.solution.active_set
     if S.size == 0:
         return SandwichEstimate(b_hat=b_hat, avar_s=np.zeros((0, 0)), active_set=S)
-    Css = stage.G[np.ix_(S, S)]
-    if numeric_rank(Css) < S.size:
-        raise SingularGramError(
-            "Gram matrix restricted to the active set is numerically singular"
-        )
-    inner = np.linalg.solve(Css, b_hat[np.ix_(S, S)])
-    avar = np.linalg.solve(Css, inner.T).T
+    root, Css = _unit_diagonal(stage.G[np.ix_(S, S)], SingularGramError,
+                               "Gram matrix restricted to the active set")
+    scale = np.outer(root, root)
+    inner = np.linalg.solve(Css, b_hat[np.ix_(S, S)] / scale)
+    avar = np.linalg.solve(Css, inner.T).T / scale
     avar = (avar + avar.T) / 2.0
     return SandwichEstimate(b_hat=b_hat, avar_s=avar, active_set=S)

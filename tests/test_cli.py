@@ -252,6 +252,10 @@ def test_csv_reader_contract(tmp_path, capsys, body, expected):
     """What ``rcreg fit`` reads from a CSV, and the one stderr line it gives otherwise."""
     path = tmp_path / "d.csv"
     path.write_bytes(body.encode("utf-8"))
+    _read_as_contracted(path, capsys, expected)
+
+
+def _read_as_contracted(path, capsys, expected):
     if isinstance(expected, list):
         data = cli._read_dataset_csv(str(path))
         assert np.column_stack([data.Y, data.X[:, 1:]]).tolist() == expected
@@ -267,6 +271,20 @@ def test_csv_reader_contract_in_byte_ranges(tmp_path, capsys, monkeypatch, body,
     monkeypatch.setattr(cli, "_RANGE_BYTES", 3)
     monkeypatch.setenv("RCREG_THREADS", "2")
     test_csv_reader_contract(tmp_path, capsys, body, expected)
+
+
+@pytest.mark.filterwarnings("error")
+@_CONTRACT
+def test_csv_reader_contract_through_a_fifo(tmp_path, capsys, body, expected):
+    """The same contract, messages and line numbers included, for a pipe: it cannot be
+    read twice."""
+    path = tmp_path / "d.csv"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(body.encode("utf-8"),), daemon=True)
+    writer.start()
+    _read_as_contracted(path, capsys, expected)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def _parse_in_ranges(monkeypatch, path, workers):
@@ -477,15 +495,18 @@ class TestFit:
             assert best == int(np.argmin(bic)), (seed, best, int(np.argmin(bic)))
 
     def test_clean_csv_takes_the_numpy_path(self, tmp_path, monkeypatch):
+        """For LF, CRLF and bare-CR line ends alike, ``csv`` reads only the header."""
         data = _random_coefficient_csv(tmp_path, n=50)
-        readers = []
+        lines = (tmp_path / "d.csv").read_text(encoding="utf-8").splitlines()
+        expected = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         reader = cli.csv.reader
-        monkeypatch.setattr(cli.csv, "reader", lambda fh: readers.append(1) or reader(fh))
-        parsed = cli._read_dataset_csv(data)
-        lines = (tmp_path / "d.csv").read_text(encoding="utf-8").splitlines()[1:]
-        expected = np.array([[float(v) for v in line.split(",")] for line in lines])
-        assert len(readers) == 1
-        assert np.array_equal(np.column_stack([parsed.Y, parsed.X[:, 1:]]), expected)
+        for end in ["\n", "\r\n", "\r"]:
+            (tmp_path / "d.csv").write_bytes(end.join(lines + [""]).encode("utf-8"))
+            readers = []
+            monkeypatch.setattr(cli.csv, "reader", lambda fh: readers.append(1) or reader(fh))
+            parsed = cli._read_dataset_csv(data)
+            assert len(readers) == 1, repr(end)
+            assert np.array_equal(np.column_stack([parsed.Y, parsed.X[:, 1:]]), expected)
 
     def test_bad_header_rejected(self, tmp_path, capsys):
         data = write(tmp_path / "d.csv", "resp,w1\n1.0,2.0\n")

@@ -74,11 +74,23 @@ class TestOls:
         V, _ = np.linalg.qr(rng.normal(size=(p, p)))
         return (U * np.geomspace(1.0, 1.0 / cond, p)) @ V.T, rng
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_outside_the_gram_guard_equals_lstsq(self, seed):
-        X, rng = self._design(1e6, seed)
-        Y = rng.normal(size=X.shape[0])
-        assert np.array_equal(ols(Y, X), np.linalg.lstsq(X, Y, rcond=None)[0])
+    @pytest.mark.parametrize("cond", [*np.geomspace(1e4, 1e6, 7), 1e7])
+    def test_ols_and_the_path_share_one_verdict(self, cond):
+        """Both accept exactly when the design with unit column norms has cond < 1e5; the
+        sweep crosses that boundary and ends at singular values geomspace(1, 1e-7)."""
+        for seed in range(5):
+            X, rng = self._design(cond, seed)
+            inside = np.linalg.cond(X / np.linalg.norm(X, axis=0)) < 1e5
+            Y = rng.normal(size=X.shape[0])
+            verdicts = []
+            for solve in (lambda: ols(Y, X),
+                          lambda: lambda_path(Y, X, AdaLassoConfig(0.0, np.ones(6)), [0.0])):
+                try:
+                    solve()
+                    verdicts.append(True)
+                except (SingularDesignError, SingularGramError):
+                    verdicts.append(False)
+            assert verdicts == [inside, inside], (cond, seed)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_just_inside_the_gram_guard_matches_qr_oracle(self, seed):
@@ -89,15 +101,30 @@ class TestOls:
         Q, R = np.linalg.qr(X)
         assert np.max(np.abs(ols(Y, X) - np.linalg.solve(R, Q.T @ Y))) <= 1e-9
 
-    @pytest.mark.parametrize("cond,singular", [(1e9, False), (1e11, True)])
+    @pytest.mark.parametrize("cond,singular", [(9e4, False), (1e11, True)])
     def test_rank_rule_unchanged_past_the_guard(self, cond, singular):
+        """Just inside the rank rule's cond(X) ~ 1e5 the solve matches a QR oracle;
+        far past it the design is refused."""
         X, rng = self._design(cond, 4)
-        Y = rng.normal(size=X.shape[0])
+        Y = X @ rng.uniform(-3.0, 3.0, X.shape[1]) + 1e-4 * rng.normal(size=X.shape[0])
         if singular:
             with pytest.raises(SingularDesignError):
                 ols(Y, X)
         else:
-            assert np.array_equal(ols(Y, X), np.linalg.lstsq(X, Y, rcond=None)[0])
+            Q, R = np.linalg.qr(X)
+            oracle = np.linalg.solve(R, Q.T @ Y)
+            assert np.max(np.abs(ols(Y, X) - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        rng = np.random.default_rng(5)
+        X, Y = rng.normal(size=(20, 2)), rng.normal(size=20)
+        Y[3] = bad
+        with pytest.raises(DomainError, match="least squares needs finite X and Y"):
+            ols(Y, X)
+        X[4, 1], Y[3] = np.nan, 0.0
+        with pytest.raises(DomainError, match="least squares needs finite X and Y"):
+            ols(Y, X)
 
     def test_rank_deficient_rejected(self):
         X = np.ones((10, 2))
@@ -182,14 +209,23 @@ class TestSecondStage:
         assert ([s.active_set.tolist() for s in stage.path(grid)]
                 == [s.active_set.tolist() for s in direct])
 
-    def test_blocked_stage_refused_by_the_gram_guard_solves_the_whole_design(self):
-        raw = dgp_sample(SimConfig(n=2 * estimate._BLOCK_ROWS + 7, p=5, seed=14), 0)
-        data = Dataset.from_covariates(100.0 * raw.X[:, 1:], raw.Y)
-        stage = SecondStage.from_data(data)
+    def test_blocked_stage_in_large_units_matches_the_whole_design_lstsq(self):
+        """w1 in units 100 times smaller: the raw Gram's eigenvalue ratio falls below 1e-8,
+        and the stage still solves from its row blocks."""
+        raw = dgp_sample(SimConfig(n=200_000, p=6, seed=14), 0)
+        data = Dataset.from_covariates(raw.X[:, 1:] * np.array([100.0, 1, 1, 1, 1]), raw.Y)
+        tracemalloc.start()
+        try:
+            stage = SecondStage.from_data(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.n * half_dim(data.p) * 8 / 4
         w = np.linalg.eigvalsh(stage.G)
         assert w[0] <= 1e-8 * w[-1]
         whole = build_second_stage(data, stage.mu_hat)
-        assert np.array_equal(stage.init, ols(whole.ysig, whole.xsig))
+        oracle = np.linalg.lstsq(whole.xsig, whole.ysig, rcond=None)[0]
+        assert np.max(np.abs(stage.init - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
     def test_stage_holds_a_fraction_of_the_design(self):
         data = dgp_sample(SimConfig(n=200_000, p=10, seed=15), 0)
@@ -245,6 +281,19 @@ class TestFitMoments:
         lmax = stage.lambda_max()
         sols = stage.path(np.geomspace(lmax, 1e-4 * lmax, 50))
         assert [s.converged for s in sols] == [True] * 50
+
+    def test_covariate_units_change_only_the_units(self):
+        """w1 in units 1, 100, 300 and 1000 times smaller: the same active set, a sandwich,
+        and initial estimates that carry the column's factor."""
+        raw = dgp_sample(SimConfig(n=20_000, p=6, seed=2), 0)
+        fits = {}
+        for s in [1.0, 100.0, 300.0, 1000.0]:
+            data = Dataset.from_covariates(raw.X[:, 1:] * np.array([s, 1, 1, 1, 1]), raw.Y)
+            fits[s] = fit_moments(data, 0.0)
+            sandwich(data, fits[s])
+            carried = np.array([s ** ((k == 1) + (l == 1)) for k, l in halfvec_indices(6)])
+            assert np.array_equal(fits[s].solution.active_set, fits[1.0].solution.active_set)
+            assert fits[s].stage.init * carried == pytest.approx(fits[1.0].stage.init, rel=1e-9)
 
     def test_short_sample_rejected(self):
         rng = np.random.default_rng(10)
