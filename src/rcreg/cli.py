@@ -270,9 +270,9 @@ def _fit_path(stage: SecondStage, pick: bool):
 
 
 def _cmd_fit(args) -> int:
-    data = _read_dataset_csv(args.data)
     if args.lam is not None and args.auto:
         raise _UsageError("rcreg fit: --lambda and --auto are mutually exclusive")
+    data = _read_dataset_csv(args.data)
     stage = SecondStage.from_data(data, args.penalize_intercept_variance)
     if args.lam is None or args.path_csv:
         grid, sols, best = _fit_path(stage, pick=args.lam is None)

@@ -188,14 +188,20 @@ def ols(Y, X) -> np.ndarray:
     below 1e-10 of its largest, that is a column-scaled cond(X) under about
     1e5.  The solve uses that scaled Gram plus one step of iterative refinement.
     """
-    return _ols(*_cross(Y, X, "least squares"))
+    return _ols(*_cross(*_finite(Y, X), "least squares"))
+
+
+def _finite(Y, X):
+    """A caller's ``(Y, X)`` as float arrays, refused before any product unless all finite."""
+    Y, X = np.asarray(Y, dtype=float).reshape(-1), np.asarray(X, dtype=float)
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise DomainError("least squares needs finite X and Y")
+    return Y, X
 
 
 def _cross(Y, X, use: str = "the lasso solver"):
-    """``(X'X, X'Y, n, rows)``, ``rows()`` giving ``(X, Y)`` as one row block: the one
-    place an n-row Gram is formed."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float).reshape(-1)
+    """``(X'X, X'Y, n, rows)`` of float arrays, ``rows()`` giving ``(X, Y)`` as one row
+    block: the one place an n-row Gram is formed."""
     if X.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise DimensionError(f"incompatible shapes X {X.shape}, Y {Y.shape} for {use}")
     return X.T @ X, X.T @ Y, X.shape[0], lambda: [(X, Y)]
@@ -519,7 +525,7 @@ def adaptive_lasso(Y, X, cfg: AdaLassoConfig) -> LassoSolution:
     last one with ``converged=False`` rather than raising; a numerically
     singular active Gram raises :class:`SingularGramError`.
     """
-    return _walk(*_gram(*_cross(Y, X)), cfg.init, cfg.penalize_mask, [cfg.lam])[0]
+    return _walk(*_gram(*_cross(*_finite(Y, X))), cfg.init, cfg.penalize_mask, [cfg.lam])[0]
 
 
 def lambda_max(Y, X, init, penalize_mask=None) -> float:
@@ -528,7 +534,7 @@ def lambda_max(Y, X, init, penalize_mask=None) -> float:
     It is the first breakpoint of the exact path, computed by the same code,
     so a :func:`lambda_path` grid that starts at it gives exact zeros there.
     """
-    return _lambda_max(*_gram(*_cross(Y, X)), init, penalize_mask)
+    return _lambda_max(*_gram(*_cross(*_finite(Y, X))), init, penalize_mask)
 
 
 def _lambda_max(G, b, init, penalize_mask) -> float:
@@ -541,7 +547,7 @@ def lambda_path(Y, X, cfg: AdaLassoConfig, grid) -> list[LassoSolution]:
     One walk down the exact path serves the whole grid; ``cfg.lam`` is
     not read.
     """
-    return _walk(*_gram(*_cross(Y, X)), cfg.init, cfg.penalize_mask, grid)
+    return _walk(*_gram(*_cross(*_finite(Y, X))), cfg.init, cfg.penalize_mask, grid)
 
 
 def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> WitnessReport:
@@ -560,8 +566,7 @@ def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> Wit
         If the certificate holds but the solver solution differs; this
         indicates a solver defect.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float).reshape(-1)
+    Y, X = _finite(Y, X)
     n, p = X.shape
     S = np.asarray(S, dtype=int).reshape(-1)
     if S.size > n:

@@ -144,10 +144,8 @@ def numeric_rank(M, tol: float = 1e-10) -> int:
     The relative threshold makes the rank invariant under rescaling of M.
     """
     check_tol(tol)
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(svals > tol * svals[0]))
+    svals = np.linalg.svd(M if M.ndim > 1 else M.reshape(1, -1), compute_uv=False)
+    return int(np.count_nonzero(svals > tol * svals[0])) if svals[0] else 0

@@ -11,6 +11,7 @@ everything that is still identified.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -65,10 +66,6 @@ class SupportSpec:
                 raise DomainError(f"coordinate {j + 1} has duplicated support points")
             normalized.append(pts)
         object.__setattr__(self, "supports", tuple(normalized))
-
-    @property
-    def p_minus_1(self) -> int:
-        return len(self.supports)
 
     @property
     def p(self) -> int:
@@ -180,12 +177,11 @@ def build_design_S(points) -> np.ndarray:
     if any(w.shape[0] != q for w in pts):
         raise DimensionError("covariate points have inconsistent dimensions")
     X = np.ones((len(pts), q + 1))
-    if q:
-        X[:, 1:] = np.vstack(pts)
+    X[:, 1:] = np.vstack(pts)
     return v_transform_rows(X)
 
 
-def cartesian_identifying_points(spec: SupportSpec) -> list[np.ndarray]:
+def cartesian_identifying_points(spec: SupportSpec) -> list[tuple[float, ...]]:
     """Support points whose design matrix has the rank of the whole support.
 
     Uses the first three (sorted) levels a_j < b_j < c_j of each coordinate
@@ -194,27 +190,28 @@ def cartesian_identifying_points(spec: SupportSpec) -> list[np.ndarray]:
     levels, and one point per coordinate at its third level, skipping every
     point that needs a level its coordinate lacks.  All points lie in the
     Cartesian product of the supports; there are p(p+1)/2 of them exactly
-    when every coordinate has three levels.
+    when every coordinate has three levels.  Each point is a tuple of floats.
     """
-    two = [j for j, pts in enumerate(spec.supports) if len(pts) >= 2]
-    base = np.array([pts[0] for pts in spec.supports])
+    return [tuple(w) for w in _witness(spec.supports)]
+
+
+def _witness(levels) -> list[list[float]]:
+    """:func:`cartesian_identifying_points` over sorted per-coordinate ``levels``, as lists."""
+    two = [(j, pts) for j, pts in enumerate(levels) if len(pts) >= 2]
+    base = [pts[0] for pts in levels]
     points = []
-    for j in two:
-        w = base.copy()
-        w[j] = spec.supports[j][1]
-        points.append(w)
-    points.append(base.copy())
-    for i, j in enumerate(two):
-        for k in two[i + 1:]:
-            w = base.copy()
-            w[j] = spec.supports[j][1]
-            w[k] = spec.supports[k][1]
-            points.append(w)
-    for j in two:
-        if len(spec.supports[j]) >= 3:
-            w = base.copy()
-            w[j] = spec.supports[j][2]
-            points.append(w)
+    for j, pts in two:
+        points.append(w := base.copy())
+        w[j] = pts[1]
+    points.append(base)
+    for i, (j, a) in enumerate(two):
+        for k, b in two[i + 1:]:
+            points.append(w := base.copy())
+            w[j], w[k] = a[1], b[1]
+    for j, pts in two:
+        if len(pts) >= 3:
+            points.append(w := base.copy())
+            w[j] = pts[2]
     return points
 
 
@@ -240,20 +237,18 @@ def check_identified(
     DomainError
         Unless ``rank_tol`` is finite and positive.
     """
+    mapped = [(1.0,)]  # the intercept, as a coordinate with one level
+    for pts in spec.supports:
+        lo, hi = pts[0] / 2.0, pts[:3][-1] / 2.0  # used levels' ends, halved: hi - lo may overflow
+        mapped.append([(v - (lo + hi)) / (hi - lo if hi > lo else 1.0) for v in pts[:3]])
+    rank = numeric_rank(v_transform_rows(np.array(_witness(mapped))), rank_tol)
     full_dim = half_dim(spec.p)
-    deficient = tuple(j + 1 for j, pts in enumerate(spec.supports) if len(pts) < 3)
-    points = cartesian_identifying_points(spec)
-    W = np.array(points)
-    lo, hi = W.min(axis=0) / 2.0, W.max(axis=0) / 2.0  # halved: hi - lo may overflow
-    X = np.ones((W.shape[0], W.shape[1] + 1))
-    X[:, 1:] = (W - (lo + hi)) / np.where(hi > lo, hi - lo, 1.0)
-    rank = numeric_rank(v_transform_rows(X), rank_tol)
     return IdentReport(
         full_dim=full_dim,
         achieved_rank=rank,
         identified=rank == full_dim,
-        witness_points=tuple(tuple(w.tolist()) for w in points),
-        deficient_coordinates=deficient,
+        witness_points=tuple(cartesian_identifying_points(spec)),
+        deficient_coordinates=tuple(j + 1 for j, pts in enumerate(spec.supports) if len(pts) < 3),
     )
 
 
@@ -375,21 +370,22 @@ def partial_id_bounds(blocks: PartialIdBlocks, tol: float = 1e-9) -> VarianceBou
     """
     check_tol(tol)
     F = blocks.cov_b0_b2
-    u0 = np.concatenate(([(blocks.var_b0_plus_b1 - F[0, 0]) / 2.0], blocks.cov_b1_b2))
+    u0 = np.array([(blocks.var_b0_plus_b1 - F[0, 0]) / 2.0, *blocks.cov_b1_b2.tolist()])
     lam, V = np.linalg.eigh(F)
-    zero = lam <= max(tol, 1e-12 * max(1.0, float(lam[-1])))
-    loads = bool(zero.any()) and float(np.max(np.abs(V[0, zero]))) > 1e-8
-    lam, V, kernel = lam[~zero], V[:, ~zero], V[:, zero]
+    # lam ascends: V's first k columns span the kernel; F order fixes the products' last digits
+    k = bisect.bisect_right(lam.tolist(), max(tol, 1e-12 * max(1.0, float(lam[-1]))))
+    kernel, V, lam = np.asfortranarray(V[:, :k]), np.asfortranarray(V[:, k:]), lam[k:]
+    w, r = kernel[0], u0 @ kernel  # k'u(s) = r - (s/2) w, one entry per kernel vector
+    loads = k > 0 and max(map(abs, w.tolist())) > 1e-8
     c, a = V[0], u0 @ V  # e1 and u0 in the range eigenbasis
     h1, g1, ug = float(c @ (c / lam)), float(c @ (a / lam)), float(a @ (a / lam))
-    slack, umax = 10.0 * tol, float(np.max(np.abs(u0)))
-    w, r = kernel[0], u0 @ kernel  # k'u(s) = r - (s/2) w, one entry per kernel vector
+    slack, umax = 10.0 * tol, max(map(abs, u0.tolist()))
     s = 2.0 * float(w @ r) / float(w @ w) if loads else 0.0
     s = 0.0 if abs(s) < slack else s
     allow = slack * max(1.0, umax, s)
     b = 1.0 + g1
     disc = b * b - h1 * ug  # h1 times the maximum of q
-    if s < 0.0 or np.any(np.abs(r - s / 2.0 * w) > allow) or (
+    if s < 0.0 or any(abs(x - s / 2.0 * y) > allow for x, y in zip(r, w)) or (
         s * b - h1 * s * s / 4.0 - ug < -allow if loads
         else disc < -h1 * slack * max(1.0, umax, 2.0 * b / h1)
     ):

@@ -387,6 +387,12 @@ class TestFit:
         assert code == 1
         assert "mutually exclusive" in err
 
+    def test_lambda_and_auto_conflict_reported_before_the_data_are_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        code, _, err = run_cli(["fit", "--data", missing, "--lambda", "1.0", "--auto"], capsys)
+        assert code == 1
+        assert "mutually exclusive" in err and "No such file" not in err
+
     def test_malformed_row_names_line(self, tmp_path, capsys):
         data = write(tmp_path / "d.csv", "y,w1\n1.0,2.0\n3.0,oops\n")
         code, _, err = run_cli(["fit", "--data", data, "--lambda", "0"], capsys)

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from rcreg import (
     unvec_half,
     v_transform,
     vec_half,
+    witness_check,
 )
 from rcreg import estimate
 
@@ -125,6 +127,24 @@ class TestOls:
         X[4, 1], Y[3] = np.nan, 0.0
         with pytest.raises(DomainError, match="least squares needs finite X and Y"):
             ols(Y, X)
+
+    @pytest.mark.parametrize("entry", ["ols", "lambda_path", "lambda_max", "adaptive_lasso",
+                                       "witness_check"])
+    def test_infinities_rejected_before_any_product(self, entry):
+        """+inf and -inf in one column: the error comes alone, with no numpy warning."""
+        X, Y, cfg = np.ones((5, 2)), np.ones(5), AdaLassoConfig(1.0, np.ones(2))
+        X[1, 1], X[3, 1] = np.inf, -np.inf
+        call = {
+            "ols": lambda: ols(Y, X),
+            "lambda_path": lambda: lambda_path(Y, X, cfg, [1.0]),
+            "lambda_max": lambda: lambda_max(Y, X, cfg.init),
+            "adaptive_lasso": lambda: adaptive_lasso(Y, X, cfg),
+            "witness_check": lambda: witness_check(X, Y, [0, 1], cfg.lam, cfg.init),
+        }[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="least squares needs finite X and Y"):
+                call()
 
     def test_rank_deficient_rejected(self):
         X = np.ones((10, 2))
