@@ -368,7 +368,8 @@ def _build_parser() -> _Parser:
 
     p_id = sub.add_parser("identify", help="decide identifiability from a support spec")
     p_id.add_argument("--spec", required=True, help="JSON file with a 'supports' array")
-    p_id.add_argument("--tol", type=float, default=1e-10, help="relative rank tolerance (finite, > 0)")
+    p_id.add_argument("--tol", type=float, default=1e-10, help="levels closer than tol times "
+                      "their coordinate's spread count as one (finite, > 0)")
     p_id.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     p_id.set_defaults(handler=_cmd_identify)
 

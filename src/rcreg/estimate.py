@@ -204,7 +204,8 @@ def _cross(Y, X, use: str = "the lasso solver"):
     block: the one place an n-row Gram is formed."""
     if X.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise DimensionError(f"incompatible shapes X {X.shape}, Y {Y.shape} for {use}")
-    return X.T @ X, X.T @ Y, X.shape[0], lambda: [(X, Y)]
+    with np.errstate(over="ignore", invalid="ignore"):  # finite data can overflow: _gram says so
+        return X.T @ X, X.T @ Y, X.shape[0], lambda: [(X, Y)]
 
 
 def _unit_diagonal(G, error, what: str):
@@ -282,7 +283,8 @@ class SecondStage:
         mu_hat = ols(data.Y, data.X)
         ysig = _squared_residuals(data, mu_hat)
         rows = _design_blocks(data.X, ysig)
-        G, c = (reduce(np.add, t) for t in zip(*(_cross(Y, X)[:2] for X, Y in rows())))
+        with np.errstate(over="ignore", invalid="ignore"):
+            G, c = (reduce(np.add, t) for t in zip(*(_cross(Y, X)[:2] for X, Y in rows())))
         mask = np.ones(d, dtype=bool)
         mask[0] = penalize_intercept_variance
         cross = G, c, data.n, rows
@@ -342,7 +344,8 @@ def _gram(G, c, n, *_rows):
     """Validated Gram form ``(X'X/n, X'Y/n)`` of the least squares loss, from :func:`_cross`."""
     G, b = G / n, c / n
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(b))):
-        raise DomainError("least squares needs finite X and Y")
+        raise DomainError("the data are finite, but their cross products overflow; "
+                          "rescale the covariates")
     return G, b
 
 

@@ -23,7 +23,8 @@ from .errors import (
     DomainError,
     InfeasibleError,
 )
-from .halfvec import check_tol, half_dim, min_eigenvalue, numeric_rank, v_transform_rows
+# numeric_rank is kept for perfbench/tracing.py, which wraps it.
+from .halfvec import check_tol, half_dim, min_eigenvalue, numeric_rank, v_transform_rows  # noqa: F401
 
 __all__ = [
     "SupportSpec",
@@ -77,11 +78,11 @@ class SupportSpec:
 class IdentReport:
     """Outcome of an identifiability check.
 
-    ``identified`` holds exactly when ``achieved_rank == full_dim``.
-    Coordinates in ``deficient_coordinates`` are 1-based covariate indices
-    with fewer than three support points.  ``witness_points`` is the ranked
-    witness of :func:`cartesian_identifying_points`: p(p+1)/2 points when every
-    coordinate has three points, else one per rank the whole product reaches.
+    ``identified`` holds exactly when ``achieved_rank == full_dim``, that is
+    when ``deficient_coordinates`` (1-based covariate indices keeping fewer
+    than three levels, see :func:`check_identified`) is empty.  ``witness_points``
+    is the witness of :func:`cartesian_identifying_points`, in the spec's units:
+    one point per rank the whole product reaches, ``achieved_rank`` in all.
     """
 
     full_dim: int
@@ -184,19 +185,18 @@ def build_design_S(points) -> np.ndarray:
 def cartesian_identifying_points(spec: SupportSpec) -> list[tuple[float, ...]]:
     """Support points whose design matrix has the rank of the whole support.
 
-    Uses the first three (sorted) levels a_j < b_j < c_j of each coordinate
-    and enumerates: one point per coordinate at its second level, the base
-    point (all first levels), one point per coordinate pair at their second
-    levels, and one point per coordinate at its third level, skipping every
-    point that needs a level its coordinate lacks.  All points lie in the
-    Cartesian product of the supports; there are p(p+1)/2 of them exactly
-    when every coordinate has three levels.  Each point is a tuple of floats.
+    From the levels a_j < b_j < c_j each coordinate keeps (:func:`check_identified`),
+    enumerates one point per coordinate at its second level, the base point (all
+    first levels), one point per coordinate pair at their second levels, and one
+    point per coordinate at its third level, skipping every point that needs a
+    level its coordinate lacks.  All points lie in the product of the supports;
+    there are p(p+1)/2 of them exactly when every coordinate keeps three levels.
     """
-    return [tuple(w) for w in _witness(spec.supports)]
+    return list(check_identified(spec).witness_points)
 
 
-def _witness(levels) -> list[list[float]]:
-    """:func:`cartesian_identifying_points` over sorted per-coordinate ``levels``, as lists."""
+def _witness(levels) -> tuple[tuple[float, ...], ...]:
+    """:func:`cartesian_identifying_points` over sorted per-coordinate ``levels``."""
     two = [(j, pts) for j, pts in enumerate(levels) if len(pts) >= 2]
     base = [pts[0] for pts in levels]
     points = []
@@ -212,44 +212,39 @@ def _witness(levels) -> list[list[float]]:
         if len(pts) >= 3:
             points.append(w := base.copy())
             w[j] = pts[2]
-    return points
+    return tuple(map(tuple, points))
 
 
-def check_identified(
-    spec: SupportSpec,
-    *,
-    rank_tol: float = 1e-10,
-) -> IdentReport:
+def check_identified(spec: SupportSpec, *, rank_tol: float = 1e-10) -> IdentReport:
     """Decide identifiability of the coefficient covariance from the support.
 
-    Ranks the design over :func:`cartesian_identifying_points`.  On a product
-    grid the monomials w^a with |a| <= 2 and a_j < |S_j| span the quadratic
-    forms (tensor-product interpolation), so that witness has the rank of the
-    whole Cartesian product: 1 + m2 + m3 + m2(m2-1)/2, with m2 (m3) the
-    coordinates of at least two (three) points.  For a deficient support
-    ``witness_points`` holds that rank-many witness, not the product.  The
-    witness is ranked against ``rank_tol`` with each coordinate's levels mapped
-    to [-1, 1] by midpoint and half-range (one level: only centred); the exact
-    rank is invariant under such affine maps, so units do not sway the verdict.
+    Each coordinate keeps its sorted levels from the first on, each more than
+    ``rank_tol`` times the coordinate's spread (max - min) above the last one
+    kept, at most three; closer levels count as one.  On a product grid the
+    monomials w^a with |a| <= 2 and a_j < |S_j| span the quadratic forms
+    (tensor-product interpolation), so the design over the product of the kept
+    levels, and over its witness :func:`cartesian_identifying_points`, has rank
+    1 + m2 + m3 + m2(m2-1)/2, with m2 (m3) the coordinates keeping at least two
+    (three) levels.  No matrix is formed, and units do not sway the count.
 
     Raises
     ------
     DomainError
         Unless ``rank_tol`` is finite and positive.
     """
-    mapped = [(1.0,)]  # the intercept, as a coordinate with one level
+    check_tol(rank_tol)
+    kept = []
     for pts in spec.supports:
-        lo, hi = pts[0] / 2.0, pts[:3][-1] / 2.0  # used levels' ends, halved: hi - lo may overflow
-        mapped.append([(v - (lo + hi)) / (hi - lo if hi > lo else 1.0) for v in pts[:3]])
-    rank = numeric_rank(v_transform_rows(np.array(_witness(mapped))), rank_tol)
-    full_dim = half_dim(spec.p)
-    return IdentReport(
-        full_dim=full_dim,
-        achieved_rank=rank,
-        identified=rank == full_dim,
-        witness_points=tuple(cartesian_identifying_points(spec)),
-        deficient_coordinates=tuple(j + 1 for j, pts in enumerate(spec.supports) if len(pts) < 3),
-    )
+        gap = rank_tol * (pts[-1] / 2.0 - pts[0] / 2.0)  # halved: max - min may overflow
+        kept.append(levels := [pts[0]])
+        for v in pts[1:]:
+            if len(levels) < 3 and v / 2.0 - levels[-1] / 2.0 > gap:
+                levels.append(v)
+    counts = list(map(len, kept))
+    m2, m3 = len(counts) - counts.count(1), counts.count(3)
+    rank, full_dim = 1 + m2 + m3 + m2 * (m2 - 1) // 2, half_dim(spec.p)
+    deficient = tuple(j + 1 for j, k in enumerate(counts) if k < 3)
+    return IdentReport(full_dim, rank, rank == full_dim, _witness(kept), deficient)
 
 
 def binary_variance_interval(s1: float, s2: float) -> VarianceBounds:

@@ -418,6 +418,20 @@ class TestFit:
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [f"rcreg: {data}: non-finite value at line 7"]
 
+    def test_overflowing_cross_products_one_line(self, tmp_path):
+        rng = np.random.default_rng(7)
+        rows = [",".join(repr(float(v)) for v in (y, w1, 1e160 * w2))
+                for y, w1, w2 in rng.normal(size=(50, 3))]
+        data = write(tmp_path / "d.csv", "y,w1,w2\n" + "\n".join(rows) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rcreg", "fit", "--data", data, "--lambda", "0"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "rcreg: the data are finite, but their cross products overflow; rescale the covariates"
+        ]
+
     def test_nonconvergence_exit_one(self, tmp_path, capsys, monkeypatch):
         data, _ = _noiseless_csv(tmp_path, seed=4)
         monkeypatch.setattr(estimate, "MAX_BREAKPOINTS", 1)

@@ -151,6 +151,13 @@ class TestOls:
         with pytest.raises(SingularDesignError):
             ols(np.arange(10.0), X)
 
+    def test_overflowing_cross_products_named(self):
+        """Finite X whose Gram overflows: the error says so, with no numpy warning."""
+        X = np.ones((6, 2))
+        X[:, 1] = np.arange(6) * 1e200
+        with pytest.raises(DomainError, match="finite, but their cross products overflow"):
+            ols(np.ones(6), X)
+
 
 class TestSecondStage:
     def test_perfect_fit_gives_zero_targets(self):
@@ -246,6 +253,16 @@ class TestSecondStage:
         whole = build_second_stage(data, stage.mu_hat)
         oracle = np.linalg.lstsq(whole.xsig, whole.ysig, rcond=None)[0]
         assert np.max(np.abs(stage.init - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+    def test_overflowing_sum_of_row_blocks_named(self):
+        """Each row block's Gram is finite and their sum overflows: no numpy warning."""
+        rng = np.random.default_rng(16)
+        X = np.ones((estimate._BLOCK_ROWS + 100, 3))
+        X[:, 1:] = rng.normal(size=(X.shape[0], 2))
+        X[5, 2] = X[-5, 2] = 1.1e77  # one row in each block; 1.1e77 ** 4 is about 1.5e308
+        data = Dataset(X=X, Y=rng.normal(size=X.shape[0]))
+        with pytest.raises(DomainError, match="finite, but their cross products overflow"):
+            SecondStage.from_data(data)
 
     def test_stage_holds_a_fraction_of_the_design(self):
         data = dgp_sample(SimConfig(n=200_000, p=10, seed=15), 0)

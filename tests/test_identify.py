@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcreg import identify
 from rcreg import (
     Classification,
     DimensionError,
@@ -153,6 +154,42 @@ class TestCheckIdentified:
         assert {w[0] for w in rep.witness_points} == set(three)
         assert not binary.identified and binary.deficient_coordinates == (2,)
         assert (binary.achieved_rank, binary.full_dim) == (5, 6)
+
+    @pytest.mark.parametrize("supports, rank, full_dim, deficient, points", [
+        (((0.0, 1e-11, 1.0, 2.0),), 3, 3, (), ((1.0,), (0.0,), (2.0,))),
+        (((0.0, 1e-5, 1.0),) * 2, 6, 6, (), None),
+        (((0.0, 3.2e-4, 1.0),) * 9, 55, 55, (), None),
+        (((0.0, 1e-11, 1.0),), 2, 3, (1,), ((1.0,), (0.0,))),
+        (((0.0, 1e-11, 1.0, 2.0), (0.0, 1.0)), 5, 6, (2,),
+         ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (1.0, 1.0), (2.0, 0.0))),
+        (((0.0, 0.5, 0.5 + 6e-11, 1.0),), 3, 3, (), ((0.5,), (0.0,), (1.0,))),
+    ])
+    def test_close_levels_count_as_one(self, supports, rank, full_dim, deficient, points):
+        """Levels within rank_tol of the spread merge; separated ones count, however close."""
+        rep = check_identified(SupportSpec(supports))
+        assert (rep.achieved_rank, rep.full_dim, rep.deficient_coordinates) == (
+            rank, full_dim, deficient)
+        assert rep.identified == (rank == full_dim) and len(rep.witness_points) == rank
+        assert points is None or rep.witness_points == points
+
+    def test_spread_beyond_the_float_range(self):
+        """max - min overflows a float; the halved gaps still count every level."""
+        rep = check_identified(SupportSpec(((-1.7e308, 0.0, 1.7e308), (-1e308, 1e308))))
+        assert (rep.achieved_rank, rep.full_dim, rep.deficient_coordinates) == (5, 6, (2,))
+
+    def test_calls_no_lapack(self, monkeypatch):
+        """The verdict is a count: no SVD, rank call or transformed design."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_identified formed or ranked a matrix")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(identify, "numeric_rank", refuse)
+        monkeypatch.setattr(identify, "v_transform_rows", refuse)
+        rep = check_identified(SupportSpec(((-1.0, 0.0, 1.0),) * 30))
+        assert rep.identified and rep.achieved_rank == rep.full_dim == 496
+        assert len(rep.witness_points) == 496
+        rep = check_identified(SupportSpec(((0.0, 1.0),) * 20))
+        assert (rep.achieved_rank, rep.full_dim, len(rep.witness_points)) == (211, 231, 211)
 
     def test_twenty_binary_coordinates(self):
         rep = check_identified(SupportSpec(((0.0, 1.0),) * 20))

@@ -1,16 +1,19 @@
-"""``check_identified`` and ``partial_id_bounds`` against array-per-point and
-boolean-mask reference forms of the same arithmetic: results must have equal
-``repr``, or both calls must raise the same error."""
+"""``partial_id_bounds`` against a boolean-mask reference form of the same
+arithmetic (results must have equal ``repr``, or both calls must raise the same
+error), and ``check_identified``'s count against exact ranks over the rationals."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rcreg import (
     Classification,
-    IdentReport,
+    DomainError,
     InfeasibleError,
     PartialIdBlocks,
     RcregError,
@@ -20,64 +23,30 @@ from rcreg import (
     classify_randomness,
     half_dim,
     partial_id_bounds,
-    v_transform_rows,
 )
 from rcreg.halfvec import check_tol
 
 
-def reference_numeric_rank(M, tol: float = 1e-10) -> int:
-    """Singular values above ``tol`` times the largest, counted on arrays."""
-    check_tol(tol)
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
-        return 0
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(svals > tol * svals[0]))
+def exact_rank(rows) -> int:
+    """Rank by Gaussian elimination over ``Fraction``s, which hold floats exactly."""
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
-def reference_cartesian_identifying_points(spec: SupportSpec) -> list[np.ndarray]:
-    """The witness points, one numpy array per point."""
-    two = [j for j, pts in enumerate(spec.supports) if len(pts) >= 2]
-    base = np.array([pts[0] for pts in spec.supports])
-    points = []
-    for j in two:
-        w = base.copy()
-        w[j] = spec.supports[j][1]
-        points.append(w)
-    points.append(base.copy())
-    for i, j in enumerate(two):
-        for k in two[i + 1:]:
-            w = base.copy()
-            w[j] = spec.supports[j][1]
-            w[k] = spec.supports[k][1]
-            points.append(w)
-    for j in two:
-        if len(spec.supports[j]) >= 3:
-            w = base.copy()
-            w[j] = spec.supports[j][2]
-            points.append(w)
-    return points
-
-
-def reference_check_identified(spec: SupportSpec, *, rank_tol: float = 1e-10) -> IdentReport:
-    """The witness stacked into one array, mapped to [-1, 1] by its column ranges."""
-    full_dim = half_dim(spec.p)
-    deficient = tuple(j + 1 for j, pts in enumerate(spec.supports) if len(pts) < 3)
-    points = reference_cartesian_identifying_points(spec)
-    W = np.array(points)
-    lo, hi = W.min(axis=0) / 2.0, W.max(axis=0) / 2.0  # halved: hi - lo may overflow
-    X = np.ones((W.shape[0], W.shape[1] + 1))
-    X[:, 1:] = (W - (lo + hi)) / np.where(hi > lo, hi - lo, 1.0)
-    rank = reference_numeric_rank(v_transform_rows(X), rank_tol)
-    return IdentReport(
-        full_dim=full_dim,
-        achieved_rank=rank,
-        identified=rank == full_dim,
-        witness_points=tuple(tuple(w.tolist()) for w in points),
-        deficient_coordinates=deficient,
-    )
+def exact_design(points) -> list[list[Fraction]]:
+    """Rows x_i x_j (i <= j) of x = (1, w'): ``build_design_S`` up to column scaling."""
+    xs = [(Fraction(1), *map(Fraction, w)) for w in points]
+    return [[x[i] * x[j] for i in range(len(x)) for j in range(i, len(x))] for x in xs]
 
 
 def reference_partial_id_bounds(blocks: PartialIdBlocks, tol: float = 1e-9) -> VarianceBounds:
@@ -207,7 +176,22 @@ levels = st.one_of(
 @example((), 1e-10)
 @example(((-1e200, 0.0, 1e200), (0.0, 1.0), (-1e200, 1e200)), 1e-10)
 @settings(max_examples=300, deadline=None)
-def test_check_identified_matches_the_array_form(supports, rank_tol):
+def test_check_identified_rank_is_the_exact_rank(supports, rank_tol):
+    """The counted rank is the exact rank of the witness design and, for small
+    products, of the design over the whole product of the kept levels."""
     spec = SupportSpec(tuple(tuple(pts) for pts in supports))
-    expected = outcome(reference_check_identified, spec, rank_tol=rank_tol)
-    assert outcome(check_identified, spec, rank_tol=rank_tol) == expected
+    if rank_tol == 0.0:
+        with pytest.raises(DomainError, match="tol must be finite and positive"):
+            check_identified(spec, rank_tol=rank_tol)
+        return
+    rep = check_identified(spec, rank_tol=rank_tol)
+    assert rep.full_dim == half_dim(spec.p)
+    assert len(rep.witness_points) == rep.achieved_rank == exact_rank(exact_design(rep.witness_points))
+    assert rep.identified == (rep.achieved_rank == rep.full_dim) == (rep.deficient_coordinates == ())
+    assert all(w[j] in pts for w in rep.witness_points for j, pts in enumerate(spec.supports))
+    kept = [sorted({w[j] for w in rep.witness_points}) for j in range(len(spec.supports))]
+    assert all(k[0] == pts[0] and len(k) <= 3 for k, pts in zip(kept, spec.supports))
+    assert rep.deficient_coordinates == tuple(j + 1 for j, k in enumerate(kept) if len(k) < 3)
+    if math.prod(map(len, kept)) <= 64:
+        product = exact_design(itertools.product(*kept))
+        assert exact_rank(product) == rep.achieved_rank
