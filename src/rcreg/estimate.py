@@ -17,16 +17,17 @@ variance by default) ignore their initial estimate entirely.
 Stage two of a dataset is one :class:`SecondStage`, built once by
 ``SecondStage.from_data``; fits at one level and paths share it.  Its
 n x p(p+1)/2 design is formed ``_BLOCK_ROWS`` rows at a time, never whole.
-Every Gram matrix is judged by one rank rule, :func:`_unit_diagonal`.
+Every Gram matrix is judged once by one rank rule, :func:`_unit_diagonal`: a
+stage's walks rely on the whole-Gram test of its least squares fit, and the
+raw-data solvers test the coordinates not excluded.
 
 The solver follows the exact piecewise-linear solution path in Gram form
 (X'X/n, X'y/n): one walk serves a whole grid of levels, and a single level
 is the same walk stopped early; it updates the inverse of the active Gram
-block as coordinates join and leave, after one up-front rank test.  A level
-has converged when the walk reached it and its Gram KKT residual is at most
-``KKT_TOL * max(1, max|X'y/n|)``, after refactoring that inverse if need be.
-The residual is measured in the units of X'y/n, so the rule gives the same
-verdict whatever the response's units.
+block as coordinates join and leave.  A level has converged when the walk
+reached it and its Gram KKT residual is at most ``KKT_TOL * max(1,
+max|X'y/n|)``, after refactoring that inverse if need be.  The residual is in
+the units of X'y/n, so the verdict does not depend on the response's units.
 """
 
 from __future__ import annotations
@@ -350,10 +351,10 @@ def _gram(G, c, n, *_rows):
 
 
 def _violations(grad, beta, thr, optimized):
-    """Per-coordinate stationarity violation; ``grad`` is 2/n X'(Xb - y)."""
+    """Per-coordinate stationarity violation (|grad| where ``thr`` is 0); grad = 2/n X'(Xb - y)."""
     weighted = np.where(beta != 0.0, np.abs(grad + 2.0 * thr * np.sign(beta)),
                         np.maximum(0.0, np.abs(grad) - 2.0 * thr))
-    return np.where(optimized, np.where(thr > 0.0, weighted, np.abs(grad)), 0.0)
+    return np.where(optimized, weighted, 0.0)
 
 
 def kkt_residual(Y, X, beta, cfg: AdaLassoConfig) -> float:
@@ -372,7 +373,7 @@ def kkt_residual(Y, X, beta, cfg: AdaLassoConfig) -> float:
     return float(_violations(grad, beta, lam / scale, ~excluded).max(initial=0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Segment:
     """Stretch of the exact path, down to ``lo``, with a fixed active set.
 
@@ -399,10 +400,8 @@ class _Segment:
         if lam >= self.lo:
             return True
         k = self.inactive
-        return bool(
-            np.all(self.sign * (self.alpha - lam * self.gamma) >= 0.0)
-            and np.all(np.abs(self.a[k] + lam * self.e[k]) <= lam / scale[k])
-        )
+        return bool((self.sign * (self.alpha - lam * self.gamma) >= 0.0).all()
+                    and (np.abs(self.a[k] + lam * self.e[k]) <= lam / scale[k]).all())
 
 
 def _segments(G, b, scale, excluded):
@@ -418,57 +417,54 @@ def _segments(G, b, scale, excluded):
     joined cannot leave, nor one that just left rejoin on the same side,
     within the next segment: that event sits at the segment's top.
 
-    ``inv(G_AA)`` is kept, A in join order: a joining coordinate borders it
-    (pivot ``g_kk - g_kA G_AA^-1 g_Ak``), a leaving one is downdated out.
-    The scale-free rank test runs once, on the Gram over the coordinates not
-    excluded: by eigenvalue interlacing every G_AA on the path passes it too.
+    ``inv(G_AA)`` and ``G[A]`` are kept, A in join order: a joining coordinate
+    borders the inverse (pivot ``g_kk - g_kA G_AA^-1 g_Ak``), a leaving one is
+    downdated out.  No rank test runs here: by eigenvalue interlacing, the
+    callers' test of G where not excluded covers every G_AA on the path.
     """
     w = 1.0 / scale
     penalized = ~excluded & (w > 0.0)
-    free = np.flatnonzero(~excluded)
-    _unit_diagonal(G[np.ix_(free, free)], SingularGramError,
-                   "Gram matrix over the coordinates the path may activate")
     A = np.flatnonzero(~excluded & ~penalized)  # unpenalized coordinates never leave
     Ginv = np.linalg.inv(G[np.ix_(A, A)])
-    sign = np.zeros(b.shape[0])
-    hi = np.inf
-    joined, left, left_side = -1, -1, 0.0
+    GA = G[A]  # G[:, A] transposed: G is symmetric
+    sign, never = np.zeros_like(b), np.full_like(b, -np.inf)  # never: no event level
+    hi, joined, left, left_side = np.inf, -1, -1, 0.0
     while True:
-        out = np.flatnonzero(penalized & (sign == 0.0))
-        coef = Ginv @ np.array([b[A], w[A] * sign[A]]).T
+        sA, waiting = sign[A], penalized & (sign == 0.0)  # sA is 0 where unpenalized
+        coef = Ginv @ np.array([b[A], w[A] * sA]).T
         alpha, gamma = coef.T
-        a, e = coef.T @ G[A]  # G[A] is G[:, A] transposed: G is symmetric
+        a, e = coef.T @ GA
         a = b - a
-        ak, ek, wk = a[out], e[out], w[out]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rejoin = np.where(out == left, left_side, 0.0)
-            up = np.where((wk - ek > 0.0) & (rejoin <= 0.0), ak / (wk - ek), -np.inf)
-            down = np.where((wk + ek > 0.0) & (rejoin >= 0.0), -ak / (wk + ek), -np.inf)
-            heading = penalized[A] & (sign[A] * gamma < 0.0) & (A != joined)
-            leave = np.where(heading, alpha / gamma, -np.inf)
+        up = np.divide(a, w - e, out=never.copy(), where=waiting & (w - e > 0.0))
+        down = np.divide(-a, w + e, out=never.copy(), where=waiting & (w + e > 0.0))
+        if left_side:  # the coordinate that just left may not rejoin on its old side
+            (up if left_side > 0.0 else down)[left] = -np.inf
+        leave = np.divide(alpha, gamma, out=never[:A.size].copy(), where=sA * gamma < 0.0)
+        if joined >= 0:  # the coordinate that just joined, last in A, may not leave
+            leave[-1] = -np.inf
         join = np.maximum(up, down)
         lam_in, lam_out = join.max(initial=-np.inf), leave.max(initial=-np.inf)
         lo = min(max(lam_in, lam_out, 0.0), hi)
-        if (yield _Segment(lo, A, sign[A], out, alpha, gamma, a, e)):
+        if (yield _Segment(lo, A, sA, waiting.nonzero()[0], alpha, gamma, a, e)):
             Ginv = np.linalg.inv(G[np.ix_(A, A)])
             continue
         if lo <= 0.0:
             return
         if lam_in >= lam_out:
-            i = int(np.argmax(join))
-            k = out[i]
+            k = int(join.argmax())
             v = Ginv @ G[A, k]
-            u = np.append(-v, 1.0)
-            Ginv, old = np.outer(u, u / (G[k, k] - G[k, A] @ v)), Ginv
+            u = np.concatenate((-v, (1.0,)))
+            Ginv, old = u[:, None] * (u / (G[k, k] - G[k, A] @ v)), Ginv
             Ginv[:-1, :-1] += old
-            A = np.append(A, k)
-            sign[k] = 1.0 if up[i] >= down[i] else -1.0
+            A, GA = np.concatenate((A, (k,))), np.concatenate((GA, G[k:k + 1]))
+            sign[k] = 1.0 if up[k] >= down[k] else -1.0
             joined, left, left_side = k, -1, 0.0
         else:
-            j = int(np.argmax(leave))
-            k, c = A[j], np.delete(Ginv[j], j)
-            Ginv = np.delete(np.delete(Ginv, j, 0), j, 1) - np.outer(c, c / Ginv[j, j])
-            A = np.delete(A, j)
+            j = int(leave.argmax())
+            k, keep = A[j], A != A[j]
+            c = Ginv[j, keep]
+            Ginv = Ginv[keep][:, keep] - c[:, None] * (c / Ginv[j, j])
+            A, GA = A[keep], GA[keep]
             joined, left, left_side = -1, k, sign[k]
             sign[k] = 0.0
         hi = lo
@@ -492,7 +488,7 @@ def _walk(G, b, init, penalize_mask, grid) -> list[LassoSolution]:
     if np.any(np.diff(grid) > 0):
         raise DomainError("lambda grid must be sorted in descending order")
     tol = KKT_TOL * max(1.0, float(np.max(np.abs(b), initial=0.0)))
-    segments = _segments(G, b, scale, excluded)
+    segments, free = _segments(G, b, scale, excluded), ~excluded
     seg = next(segments)
     budget = MAX_BREAKPOINTS
     solutions = []
@@ -503,16 +499,16 @@ def _walk(G, b, init, penalize_mask, grid) -> list[LassoSolution]:
             while not (reached := seg.reaches(lam, scale)) and steps < budget:
                 seg = next(segments)
                 steps += 1
-            beta = np.zeros_like(b)
+            beta = np.zeros(b.shape[0])
             beta[seg.active] = seg.alpha - (lam if reached else seg.lo) * seg.gamma
             grad = 2.0 * (G @ beta - b)
-            kkt = float(_violations(grad, beta, lam / scale, ~excluded).max(initial=0.0))
+            kkt = float(_violations(grad, beta, lam / scale, free).max(initial=0.0))
             if refactored or not reached or kkt <= tol:
                 break
             seg, refactored = segments.send(True), True
         budget -= steps
         solutions.append(LassoSolution(
-            beta=beta, active_set=np.flatnonzero(beta != 0.0), kkt_residual=kkt,
+            beta=beta, active_set=(beta != 0.0).nonzero()[0], kkt_residual=kkt,
             iterations=steps, converged=reached and kkt <= tol, lam=lam,
         ))
     return solutions
@@ -528,7 +524,7 @@ def adaptive_lasso(Y, X, cfg: AdaLassoConfig) -> LassoSolution:
     last one with ``converged=False`` rather than raising; a numerically
     singular active Gram raises :class:`SingularGramError`.
     """
-    return _walk(*_gram(*_cross(*_finite(Y, X))), cfg.init, cfg.penalize_mask, [cfg.lam])[0]
+    return _walk(*_walk_args(Y, X, cfg.init, cfg.penalize_mask), [cfg.lam])[0]
 
 
 def lambda_max(Y, X, init, penalize_mask=None) -> float:
@@ -537,7 +533,16 @@ def lambda_max(Y, X, init, penalize_mask=None) -> float:
     It is the first breakpoint of the exact path, computed by the same code,
     so a :func:`lambda_path` grid that starts at it gives exact zeros there.
     """
-    return _lambda_max(*_gram(*_cross(*_finite(Y, X))), init, penalize_mask)
+    return _lambda_max(*_walk_args(Y, X, init, penalize_mask))
+
+
+def _walk_args(Y, X, init, penalize_mask):
+    """``(G, b, init, penalize_mask)`` of raw data for a walk, rank-tested where not excluded."""
+    G, b = _gram(*_cross(*_finite(Y, X)))
+    free = np.flatnonzero(~_penalty(init, penalize_mask, G.shape[0])[1])
+    _unit_diagonal(G[np.ix_(free, free)], SingularGramError,
+                   "Gram matrix over the coordinates the path may activate")
+    return G, b, init, penalize_mask
 
 
 def _lambda_max(G, b, init, penalize_mask) -> float:
@@ -550,7 +555,7 @@ def lambda_path(Y, X, cfg: AdaLassoConfig, grid) -> list[LassoSolution]:
     One walk down the exact path serves the whole grid; ``cfg.lam`` is
     not read.
     """
-    return _walk(*_gram(*_cross(*_finite(Y, X))), cfg.init, cfg.penalize_mask, grid)
+    return _walk(*_walk_args(Y, X, cfg.init, cfg.penalize_mask), grid)
 
 
 def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> WitnessReport:

@@ -235,10 +235,11 @@ def check_identified(spec: SupportSpec, *, rank_tol: float = 1e-10) -> IdentRepo
     check_tol(rank_tol)
     kept = []
     for pts in spec.supports:
-        gap = rank_tol * (pts[-1] / 2.0 - pts[0] / 2.0)  # halved: max - min may overflow
+        h = 1.0 if math.isfinite(pts[-1] - pts[0]) else 0.5  # halving a subnormal rounds
+        gap = rank_tol * (pts[-1] * h - pts[0] * h)
         kept.append(levels := [pts[0]])
         for v in pts[1:]:
-            if len(levels) < 3 and v / 2.0 - levels[-1] / 2.0 > gap:
+            if len(levels) < 3 and v * h - levels[-1] * h > gap:
                 levels.append(v)
     counts = list(map(len, kept))
     m2, m3 = len(counts) - counts.count(1), counts.count(3)

@@ -17,8 +17,6 @@ from __future__ import annotations
 import numbers
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -306,13 +304,21 @@ def _run_jobs(fn, jobs: list, workers: int | None) -> list:
     workers = max(1, min(int(_worker_count() if workers is None else workers), len(jobs)))
     if workers == 1:
         return [fn(job) for job in jobs]
-    chunk = max(1, len(jobs) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    chunk, module = max(1, len(jobs) // (4 * workers)), sys.modules[__name__]
+    with module.ProcessPoolExecutor(max_workers=workers) as pool:
         try:
             return list(pool.map(fn, jobs, chunksize=chunk))
-        except BrokenProcessPool:
+        except module.BrokenProcessPool:
             raise RcregError("a worker process died, perhaps for want of memory; "
                              "RCREG_THREADS=1 runs the work in this process") from None
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor`` and ``BrokenProcessPool``, loaded only once a pool starts."""
+    if name in ("ProcessPoolExecutor", "BrokenProcessPool"):
+        from concurrent.futures import process
+        return getattr(process, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def monte_carlo(cfg: SimConfig, workers: int | None = None) -> SimReport:

@@ -163,6 +163,7 @@ class TestCheckIdentified:
         (((0.0, 1e-11, 1.0, 2.0), (0.0, 1.0)), 5, 6, (2,),
          ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (1.0, 1.0), (2.0, 0.0))),
         (((0.0, 0.5, 0.5 + 6e-11, 1.0),), 3, 3, (), ((0.5,), (0.0,), (1.0,))),
+        (((0.0, 5e-324, 1e-323),), 3, 3, (), ((5e-324,), (0.0,), (1e-323,))),
     ])
     def test_close_levels_count_as_one(self, supports, rank, full_dim, deficient, points):
         """Levels within rank_tol of the spread merge; separated ones count, however close."""

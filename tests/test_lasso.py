@@ -13,10 +13,12 @@ from rcreg import (
     SingularGramError,
     adaptive_lasso,
     dgp_sample,
+    fit_moments,
     kkt_residual,
     lambda_max,
     lambda_path,
     ols,
+    tune_lambda,
     witness_check,
 )
 from rcreg import estimate
@@ -389,6 +391,59 @@ class TestKeptInverse:
         sols = stage.path(np.geomspace(lmax, 1e-4 * lmax, 50))
         assert sum(s.iterations for s in sols) >= 100
         assert len(calls) <= 1
+
+
+def _counting_rank_tests(monkeypatch) -> list:
+    """Record every rank test (``numeric_rank``, the one SVD) the solver module makes."""
+    calls, rank = [], estimate.numeric_rank
+    monkeypatch.setattr(estimate, "numeric_rank", lambda *a: calls.append(a[0].shape) or rank(*a))
+    return calls
+
+
+class TestRankTestPlacement:
+    """A stage's walks rely on its least squares fits' tests; raw calls test the free Gram."""
+
+    def test_a_stage_and_its_walks_make_two_rank_tests(self, monkeypatch):
+        calls = _counting_rank_tests(monkeypatch)
+        stage = SecondStage.from_data(dgp_sample(SimConfig(n=2000, p=10, seed=5), 0))
+        lmax = stage.lambda_max()
+        sols = stage.path(np.geomspace(lmax, 1e-4 * lmax, 50))
+        assert sum(s.iterations for s in sols) >= 20
+        assert calls == [(10, 10), (55, 55)]  # stage one's design, stage two's design
+
+    def test_tuning_and_fits_test_only_their_stages(self, monkeypatch):
+        calls = _counting_rank_tests(monkeypatch)
+        cfg = SimConfig(n=2000, p=6, seed=7, pilot_replications=3, grid_size=10)
+        tune_lambda(cfg, workers=1)
+        assert calls == [(6, 6), (21, 21)] * 3
+        calls.clear()
+        fit_moments(dgp_sample(cfg, 0), 1.0)
+        assert calls == [(6, 6), (21, 21)]
+
+    def test_raw_calls_test_the_free_coordinates_once(self, monkeypatch):
+        X, Y, _ = random_regression(46)
+        cfg = AdaLassoConfig(lam=0.5, init=ols(Y, X))
+        calls = _counting_rank_tests(monkeypatch)
+        lambda_max(Y, X, cfg.init)
+        adaptive_lasso(Y, X, cfg)
+        lambda_path(Y, X, cfg, [2.0, 0.5])
+        assert calls == [(6, 6)] * 3
+
+    def test_singular_only_where_excluded_is_accepted(self):
+        X, Y, _ = random_regression(47)
+        X = np.concatenate([X, X[:, [2]]], axis=1)  # a duplicate column
+        init = np.ones(X.shape[1])
+        init[-1] = 0.0  # excluded: fixed at zero, never activated
+        cfg = AdaLassoConfig(lam=0.1, init=init)
+        top = lambda_max(Y, X, init)
+        assert top > 0.0
+        for sol in [adaptive_lasso(Y, X, cfg), *lambda_path(Y, X, cfg, [top, 0.1, 0.0])]:
+            assert sol.converged and sol.beta[-1] == 0.0
+        cfg = replace(cfg, init=np.ones(X.shape[1]))  # the duplicate may now activate
+        for call in (lambda: lambda_max(Y, X, cfg.init), lambda: adaptive_lasso(Y, X, cfg),
+                     lambda: lambda_path(Y, X, cfg, [top, 0.1])):
+            with pytest.raises(SingularGramError):
+                call()
 
 
 class TestWitness:

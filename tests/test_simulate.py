@@ -1,7 +1,10 @@
 """Monte Carlo harness: DGP law, determinism, tuning, selection trends."""
 
 import dataclasses
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -230,6 +233,23 @@ class TestMonteCarlo:
         )
         report = monte_carlo(cfg, workers=1)
         assert report.replications == 2 and report.lambda_used > 0.0
+
+    def test_serial_run_imports_no_pool_machinery(self, tmp_path):
+        """``RCREG_THREADS=1 rcreg simulate`` loads neither the process pool nor
+        multiprocessing; ``-X importtime`` lists every module the run imported."""
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"n": 600, "p": 5, "lambda": "auto", "replications": 2,
+                                   "pilot_replications": 2, "grid_size": 5, "seed": 3}))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "rcreg", "simulate", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=dict(os.environ, RCREG_THREADS="1"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert {"rcreg.simulate", "numpy"} <= imported
+        assert not imported & {"concurrent.futures.process", "multiprocessing"}
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_thread_variable_rejected(self, monkeypatch, value):
