@@ -50,8 +50,8 @@ from .identify import (
 )
 
 _ESTIMATE = (
-    "AdaLassoConfig", "Dataset", "LassoSolution", "MomentFit", "SandwichEstimate",
-    "SecondStage", "SecondStageDesign", "WitnessReport", "adaptive_lasso",
+    "Dataset", "LassoSolution", "MomentFit", "SandwichEstimate", "SecondStage",
+    "SecondStageDesign", "WitnessReport", "adaptive_lasso",
     "build_second_stage", "fit_moments", "kkt_residual", "lambda_max",
     "lambda_path", "ols", "sandwich", "select_means", "witness_check",
 )

@@ -17,7 +17,10 @@ variance by default) ignore their initial estimate entirely.
 Stage two of a dataset is one :class:`SecondStage`, built once by
 ``SecondStage.from_data``; fits at one level and paths share it.  Its
 n x p(p+1)/2 design is formed ``_BLOCK_ROWS`` rows at a time, never whole.
-Every Gram matrix is judged once by one rank rule, :func:`_unit_diagonal`: a
+Data reach the solvers by one door: :func:`_data_blocks` refuses a caller's
+non-finite or mismatched ``(Y, X)`` before any product, and :func:`_gram` forms
+the Gram form ``(X'X/n, X'Y/n)`` of any row blocks, once per stage.  Every
+Gram matrix is judged once by one rank rule, :func:`_unit_diagonal`: a
 stage's walks rely on the whole-Gram test of its least squares fit, and the
 raw-data solvers test the coordinates not excluded.
 
@@ -51,7 +54,6 @@ __all__ = [
     "Dataset",
     "SecondStageDesign",
     "SecondStage",
-    "AdaLassoConfig",
     "LassoSolution",
     "MomentFit",
     "SandwichEstimate",
@@ -129,19 +131,6 @@ class SecondStageDesign:
 
 
 @dataclass
-class AdaLassoConfig:
-    """Weighted-l1 solver configuration.
-
-    ``penalize_mask`` entries set to False mark unpenalized coordinates;
-    None penalizes everything.
-    """
-
-    lam: float
-    init: np.ndarray
-    penalize_mask: np.ndarray | None = None
-
-
-@dataclass
 class LassoSolution:
     """Solver output; ``iterations`` counts breakpoints passed since the previous level."""
 
@@ -189,24 +178,32 @@ def ols(Y, X) -> np.ndarray:
     below 1e-10 of its largest, that is a column-scaled cond(X) under about
     1e5.  The solve uses that scaled Gram plus one step of iterative refinement.
     """
-    return _ols(*_cross(*_finite(Y, X), "least squares"))
+    rows = _data_blocks(Y, X, "least squares")
+    return _ols(*_gram(rows), rows)
 
 
-def _finite(Y, X):
-    """A caller's ``(Y, X)`` as float arrays, refused before any product unless all finite."""
+def _data_blocks(Y, X, use: str = "the lasso solver"):
+    """A caller's ``(Y, X)`` as one row block ``[(X, Y)]`` of float arrays, refused before
+    any product unless all finite, then unless X is 2-D with as many rows as Y, at least one."""
     Y, X = np.asarray(Y, dtype=float).reshape(-1), np.asarray(X, dtype=float)
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise DomainError("least squares needs finite X and Y")
-    return Y, X
-
-
-def _cross(Y, X, use: str = "the lasso solver"):
-    """``(X'X, X'Y, n, rows)`` of float arrays, ``rows()`` giving ``(X, Y)`` as one row
-    block: the one place an n-row Gram is formed."""
-    if X.ndim != 2 or X.shape[0] != Y.shape[0]:
+    if X.ndim != 2 or X.shape[0] != Y.shape[0] or X.shape[0] == 0:
         raise DimensionError(f"incompatible shapes X {X.shape}, Y {Y.shape} for {use}")
-    with np.errstate(over="ignore", invalid="ignore"):  # finite data can overflow: _gram says so
-        return X.T @ X, X.T @ Y, X.shape[0], lambda: [(X, Y)]
+    return [(X, Y)]
+
+
+def _gram(blocks):
+    """``(X'X/n, X'Y/n, n)`` summed over the ``(X, Y)`` row ``blocks``, n rows in all: the
+    one place a Gram form is made from data.  Finite data whose products overflow are refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        XX, XY, rows = zip(*((X.T @ X, X.T @ Y, X.shape[0]) for X, Y in blocks))
+        n = sum(rows)
+        G, b = reduce(np.add, XX) / n, reduce(np.add, XY) / n
+    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(b))):
+        raise DomainError("the data are finite, but their cross products overflow; "
+                          "rescale the covariates")
+    return G, b, n
 
 
 def _unit_diagonal(G, error, what: str):
@@ -221,13 +218,12 @@ def _unit_diagonal(G, error, what: str):
     raise error(f"{what} is numerically singular")
 
 
-def _ols(G, c, n, rows) -> np.ndarray:
-    """:func:`ols` from ``G = X'X``, ``c = X'Y`` of the n rows ``rows()`` gives as ``(X, Y)``
-    blocks; the refinement reads a block at a time."""
-    G, b = _gram(G, c, n)
+def _ols(G, b, n, rows) -> np.ndarray:
+    """:func:`ols` from the :func:`_gram` form ``(G, b, n)`` of the ``(X, Y)`` row blocks
+    ``rows``; the refinement reads a block at a time."""
     root, scaled = _unit_diagonal(G, SingularDesignError, f"design with shape {(n, G.shape[0])}")
     beta = np.linalg.solve(scaled, b / root) / root
-    r = reduce(np.add, (X.T @ (Y - X @ beta) for X, Y in rows())) / n
+    r = reduce(np.add, (X.T @ (Y - X @ beta) for X, Y in rows)) / n
     return beta + np.linalg.solve(scaled, r / root) / root
 
 
@@ -284,12 +280,10 @@ class SecondStage:
         mu_hat = ols(data.Y, data.X)
         ysig = _squared_residuals(data, mu_hat)
         rows = _design_blocks(data.X, ysig)
-        with np.errstate(over="ignore", invalid="ignore"):
-            G, c = (reduce(np.add, t) for t in zip(*(_cross(Y, X)[:2] for X, Y in rows())))
+        G, b, n = _gram(rows())
         mask = np.ones(d, dtype=bool)
         mask[0] = penalize_intercept_variance
-        cross = G, c, data.n, rows
-        return cls(mu_hat, ysig, _ols(*cross), mask, *_gram(*cross))
+        return cls(mu_hat, ysig, _ols(G, b, n, rows()), mask, G, b)
 
     def lambda_max(self) -> float:
         """:func:`lambda_max` of this stage."""
@@ -341,15 +335,6 @@ def _penalty(init, penalize_mask, d: int):
     return scale, excluded
 
 
-def _gram(G, c, n, *_rows):
-    """Validated Gram form ``(X'X/n, X'Y/n)`` of the least squares loss, from :func:`_cross`."""
-    G, b = G / n, c / n
-    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(b))):
-        raise DomainError("the data are finite, but their cross products overflow; "
-                          "rescale the covariates")
-    return G, b
-
-
 def _violations(grad, beta, thr, optimized):
     """Per-coordinate stationarity violation (|grad| where ``thr`` is 0); grad = 2/n X'(Xb - y)."""
     weighted = np.where(beta != 0.0, np.abs(grad + 2.0 * thr * np.sign(beta)),
@@ -357,18 +342,19 @@ def _violations(grad, beta, thr, optimized):
     return np.where(optimized, weighted, 0.0)
 
 
-def kkt_residual(Y, X, beta, cfg: AdaLassoConfig) -> float:
-    """Stationarity residual recomputed from the raw data.
+def kkt_residual(Y, X, beta, lam, init, penalize_mask=None) -> float:
+    """Stationarity residual of ``beta`` at level ``lam``, recomputed from the raw data.
 
     Independent of the solver's internal Gram bookkeeping; a converged
     solution satisfies ``kkt_residual <= KKT_TOL * max(1, max|X'Y/n|)`` up
     to round-off.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float).reshape(-1)
+    (X, Y), = _data_blocks(Y, X)
     beta = np.asarray(beta, dtype=float).reshape(-1)
-    lam, = _levels([cfg.lam])
-    scale, excluded = _penalty(cfg.init, cfg.penalize_mask, X.shape[1])
+    if beta.shape[0] != X.shape[1]:
+        raise DimensionError(f"beta must have length {X.shape[1]}, got {beta.shape[0]}")
+    lam, = _levels([lam])
+    scale, excluded = _penalty(init, penalize_mask, X.shape[1])
     grad = (2.0 / X.shape[0]) * (X.T @ (X @ beta - Y))
     return float(_violations(grad, beta, lam / scale, ~excluded).max(initial=0.0))
 
@@ -514,17 +500,18 @@ def _walk(G, b, init, penalize_mask, grid) -> list[LassoSolution]:
     return solutions
 
 
-def adaptive_lasso(Y, X, cfg: AdaLassoConfig) -> LassoSolution:
+def adaptive_lasso(Y, X, lam, init, penalize_mask=None) -> LassoSolution:
     """Weighted-l1 least squares at one penalty level, by the exact path.
 
-    Minimizes (1/n)||Y - X b||^2 + 2 lam sum_k |b_k| / |cfg.init_k| over the
+    Minimizes (1/n)||Y - X b||^2 + 2 lam sum_k |b_k| / |init_k| over the
     coordinates not excluded by a zero initial estimate, walking the path
-    of :func:`lambda_path` from the top down to ``cfg.lam``.  Passing
+    of :func:`lambda_path` from the top down to ``lam``.  Coordinates where
+    ``penalize_mask`` is False are unpenalized; None penalizes all.  Passing
     ``MAX_BREAKPOINTS`` breakpoints first returns the exact solution at the
     last one with ``converged=False`` rather than raising; a numerically
     singular active Gram raises :class:`SingularGramError`.
     """
-    return _walk(*_walk_args(Y, X, cfg.init, cfg.penalize_mask), [cfg.lam])[0]
+    return _walk(*_walk_args(Y, X, init, penalize_mask), [lam])[0]
 
 
 def lambda_max(Y, X, init, penalize_mask=None) -> float:
@@ -538,7 +525,7 @@ def lambda_max(Y, X, init, penalize_mask=None) -> float:
 
 def _walk_args(Y, X, init, penalize_mask):
     """``(G, b, init, penalize_mask)`` of raw data for a walk, rank-tested where not excluded."""
-    G, b = _gram(*_cross(*_finite(Y, X)))
+    G, b, _ = _gram(_data_blocks(Y, X))
     free = np.flatnonzero(~_penalty(init, penalize_mask, G.shape[0])[1])
     _unit_diagonal(G[np.ix_(free, free)], SingularGramError,
                    "Gram matrix over the coordinates the path may activate")
@@ -549,13 +536,9 @@ def _lambda_max(G, b, init, penalize_mask) -> float:
     return float(next(_segments(G, b, *_penalty(init, penalize_mask, G.shape[0]))).lo)
 
 
-def lambda_path(Y, X, cfg: AdaLassoConfig, grid) -> list[LassoSolution]:
-    """Exact solutions along a descending grid of penalty levels.
-
-    One walk down the exact path serves the whole grid; ``cfg.lam`` is
-    not read.
-    """
-    return _walk(*_walk_args(Y, X, cfg.init, cfg.penalize_mask), grid)
+def lambda_path(Y, X, grid, init, penalize_mask=None) -> list[LassoSolution]:
+    """Exact solutions along a descending grid of penalty levels, from one walk down the path."""
+    return _walk(*_walk_args(Y, X, init, penalize_mask), grid)
 
 
 def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> WitnessReport:
@@ -574,7 +557,7 @@ def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> Wit
         If the certificate holds but the solver solution differs; this
         indicates a solver defect.
     """
-    Y, X = _finite(Y, X)
+    (X, Y), = _data_blocks(Y, X)
     n, p = X.shape
     S = np.asarray(S, dtype=int).reshape(-1)
     if S.size > n:
@@ -618,7 +601,7 @@ def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> Wit
 
     solution = None
     if condition1 and sign_match:
-        solution = adaptive_lasso(Y, X, AdaLassoConfig(lam=lam, init=init))
+        solution = adaptive_lasso(Y, X, lam, init)
         off_support_zero = bool(np.all(solution.beta[Sc] == 0.0))
         agrees = bool(np.max(np.abs(solution.beta[S] - beta_tilde)) <= agreement_tol)
         if not (off_support_zero and agrees):
@@ -650,10 +633,11 @@ def select_means(data: Dataset, lambda_mu: float) -> LassoSolution:
 
     The initial estimate is OLS, solved from the same cross products as the lasso.
     """
-    cross = _cross(data.Y, data.X)
+    rows = _data_blocks(data.Y, data.X)
+    G, b, n = _gram(rows)
     mask = np.ones(data.p, dtype=bool)
     mask[0] = False
-    return _walk(*_gram(*cross), _ols(*cross), mask, [lambda_mu])[0]
+    return _walk(G, b, _ols(G, b, n, rows), mask, [lambda_mu])[0]
 
 
 def sandwich(data: Dataset, fit: MomentFit) -> SandwichEstimate:

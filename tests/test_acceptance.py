@@ -18,7 +18,6 @@ from test_partial_id import grid_scan, random_blocks
 
 import rcreg
 from rcreg import (
-    AdaLassoConfig,
     InfeasibleError,
     SimConfig,
     SupportSpec,
@@ -144,7 +143,7 @@ def test_criterion_4_lasso_correctness():
             r = np.random.default_rng(seed)
             X = np.concatenate([np.ones((150, 1)), r.normal(size=(150, 5))], axis=1)
             Y = X @ r.uniform(-2, 2, 6) + r.normal(size=150)
-            sol = adaptive_lasso(Y, X, AdaLassoConfig(lam=0.0, init=np.ones(6)))
+            sol = adaptive_lasso(Y, X, 0.0, np.ones(6))
             assert np.max(np.abs(sol.beta - ols(Y, X))) <= 1e-7
         # (b) orthonormal designs give exact soft-thresholding
         for seed in range(5):
@@ -154,7 +153,7 @@ def test_criterion_4_lasso_correctness():
             Y = X @ r.uniform(-2, 2, 6) + r.normal(size=300)
             init = r.uniform(0.4, 2.0, 6)
             lam = float(r.uniform(0.05, 0.6))
-            sol = adaptive_lasso(Y, X, AdaLassoConfig(lam=lam, init=init))
+            sol = adaptive_lasso(Y, X, lam, init)
             b_ols = ols(Y, X)
             expect = np.sign(b_ols) * np.maximum(np.abs(b_ols) - lam / np.abs(init), 0)
             assert np.max(np.abs(sol.beta - expect)) <= 1e-8
@@ -165,10 +164,10 @@ def test_criterion_4_lasso_correctness():
             Y = X @ r.uniform(-2, 2, 7) + r.normal(size=120)
             init = r.uniform(-2, 2, 7)
             mask = r.random(7) < 0.8
-            cfg = AdaLassoConfig(lam=float(r.uniform(0, 0.8)), init=init, penalize_mask=mask)
-            sol = adaptive_lasso(Y, X, cfg)
+            lam = float(r.uniform(0, 0.8))
+            sol = adaptive_lasso(Y, X, lam, init, mask)
             assert sol.converged
-            assert kkt_residual(Y, X, sol.beta, cfg) <= 10 * KKT_TOL
+            assert kkt_residual(Y, X, sol.beta, lam, init, mask) <= 10 * KKT_TOL
         # (d) certified witnesses agree with the solver (mismatch raises inside)
         certified = 0
         for seed in range(30):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_estimate import _counting_grams
 
 import rcreg
 from rcreg import cli, estimate, simulate
@@ -490,17 +491,10 @@ class TestFit:
                              ids=["auto-path", "lambda", "lambda-path"])
     def test_fit_forms_one_second_stage_gram(self, tmp_path, capsys, monkeypatch, mode, path_csv):
         data = _random_coefficient_csv(tmp_path, n=800, p=5)
-        shapes = []
-        cross = rcreg.estimate._cross
-
-        def counted(Y, X, *use):
-            shapes.append(np.shape(X))
-            return cross(Y, X, *use)
-
-        monkeypatch.setattr(rcreg.estimate, "_cross", counted)
+        shapes = _counting_grams(monkeypatch)
         extra = ["--path-csv", str(tmp_path / "path.csv")] if path_csv else []
         code, _, _ = run_cli(["fit", "--data", data] + mode + extra, capsys)
-        assert code == 0 and shapes == [(800, 5), (800, 15)]
+        assert code == 0 and shapes == [(5, 5), (15, 15)]  # one form per stage
 
     @pytest.mark.parametrize("penalize", [False, True])
     @pytest.mark.parametrize("n, p", [(800, 5), (3000, 6), (20_000, 8), (60_000, 10)])

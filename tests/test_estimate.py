@@ -16,7 +16,6 @@ from dgp_helpers import (
     mkl_from_raw_moments,
 )
 from rcreg import (
-    AdaLassoConfig,
     ConvergenceError,
     Dataset,
     DimensionError,
@@ -33,6 +32,7 @@ from rcreg import (
     fit_moments,
     half_dim,
     halfvec_indices,
+    kkt_residual,
     lambda_max,
     lambda_path,
     min_eigenvalue,
@@ -45,6 +45,19 @@ from rcreg import (
     witness_check,
 )
 from rcreg import estimate
+
+
+def _counting_grams(monkeypatch) -> list:
+    """Record the shape of every Gram form the estimate module makes from data."""
+    shapes, gram = [], estimate._gram
+
+    def counted(blocks):
+        form = gram(blocks)
+        shapes.append(form[0].shape)
+        return form
+
+    monkeypatch.setattr(estimate, "_gram", counted)
+    return shapes
 
 
 class TestOls:
@@ -86,7 +99,7 @@ class TestOls:
             Y = rng.normal(size=X.shape[0])
             verdicts = []
             for solve in (lambda: ols(Y, X),
-                          lambda: lambda_path(Y, X, AdaLassoConfig(0.0, np.ones(6)), [0.0])):
+                          lambda: lambda_path(Y, X, [0.0], np.ones(6))):
                 try:
                     solve()
                     verdicts.append(True)
@@ -129,22 +142,37 @@ class TestOls:
             ols(Y, X)
 
     @pytest.mark.parametrize("entry", ["ols", "lambda_path", "lambda_max", "adaptive_lasso",
-                                       "witness_check"])
+                                       "witness_check", "kkt_residual"])
     def test_infinities_rejected_before_any_product(self, entry):
         """+inf and -inf in one column: the error comes alone, with no numpy warning."""
-        X, Y, cfg = np.ones((5, 2)), np.ones(5), AdaLassoConfig(1.0, np.ones(2))
+        X, Y, init = np.ones((5, 2)), np.ones(5), np.ones(2)
         X[1, 1], X[3, 1] = np.inf, -np.inf
         call = {
             "ols": lambda: ols(Y, X),
-            "lambda_path": lambda: lambda_path(Y, X, cfg, [1.0]),
-            "lambda_max": lambda: lambda_max(Y, X, cfg.init),
-            "adaptive_lasso": lambda: adaptive_lasso(Y, X, cfg),
-            "witness_check": lambda: witness_check(X, Y, [0, 1], cfg.lam, cfg.init),
+            "lambda_path": lambda: lambda_path(Y, X, [1.0], init),
+            "lambda_max": lambda: lambda_max(Y, X, init),
+            "adaptive_lasso": lambda: adaptive_lasso(Y, X, 1.0, init),
+            "witness_check": lambda: witness_check(X, Y, [0, 1], 1.0, init),
+            "kkt_residual": lambda: kkt_residual(Y, X, np.zeros(2), 1.0, init),
         }[entry]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="least squares needs finite X and Y"):
                 call()
+
+    @pytest.mark.parametrize("entry", ["kkt_residual", "witness_check_1d", "witness_check_rows",
+                                       "ols_no_rows", "kkt_residual_no_rows"])
+    def test_mismatched_shapes_are_dimension_errors(self, entry):
+        X, Y, init = np.random.default_rng(6).normal(size=(8, 3)), np.ones(8), np.ones(3)
+        call = {
+            "kkt_residual": lambda: kkt_residual(Y, X, np.zeros(2), 1.0, init),
+            "witness_check_1d": lambda: witness_check(X[:, 1], Y, [0], 1.0, init[:1]),
+            "witness_check_rows": lambda: witness_check(X, Y[:7], [0, 1], 1.0, init),
+            "ols_no_rows": lambda: ols(Y[:0], X[:0]),
+            "kkt_residual_no_rows": lambda: kkt_residual(Y[:0], X[:0], np.zeros(3), 1.0, init),
+        }[entry]
+        with pytest.raises(DimensionError):
+            call()
 
     def test_rank_deficient_rejected(self):
         X = np.ones((10, 2))
@@ -200,14 +228,12 @@ class TestSecondStage:
         assert lmax == lambda_max(stage.ysig, xsig, stage.init, stage.penalize_mask)
         assert np.array_equal(stage.init, ols(stage.ysig, xsig))
         grid = np.geomspace(lmax, 1e-4 * lmax, 12)
-        direct = lambda_path(stage.ysig, xsig, AdaLassoConfig(0.0, stage.init, stage.penalize_mask),
-                             grid)
+        direct = lambda_path(stage.ysig, xsig, grid, stage.init, stage.penalize_mask)
         for ours, theirs in zip(stage.path(grid), direct):
             assert np.array_equal(ours.beta, theirs.beta)
             assert ours.kkt_residual == theirs.kkt_residual
         fit = fit_moments(data, grid[5], penalize)
-        solo = adaptive_lasso(stage.ysig, xsig,
-                              AdaLassoConfig(grid[5], stage.init, stage.penalize_mask))
+        solo = adaptive_lasso(stage.ysig, xsig, grid[5], stage.init, stage.penalize_mask)
         assert np.array_equal(fit.solution.beta, solo.beta)
 
     def test_one_block_stage_is_the_whole_design_bits(self):
@@ -215,7 +241,7 @@ class TestSecondStage:
         data = dgp_sample(SimConfig(n=n, p=6, seed=13), 0)
         stage = SecondStage.from_data(data)
         whole = build_second_stage(data, stage.mu_hat)
-        G, b = estimate._gram(*estimate._cross(whole.ysig, whole.xsig))
+        G, b, _ = estimate._gram(estimate._data_blocks(whole.ysig, whole.xsig))
         assert np.array_equal(stage.ysig, whole.ysig)
         assert np.array_equal(stage.G, G) and np.array_equal(stage.b, b)
         assert np.array_equal(stage.init, ols(whole.ysig, whole.xsig))
@@ -225,14 +251,13 @@ class TestSecondStage:
         data = dgp_sample(SimConfig(n=n, p=6, seed=13), 0)
         stage = SecondStage.from_data(data)
         whole = build_second_stage(data, stage.mu_hat)
-        G, b = estimate._gram(*estimate._cross(whole.ysig, whole.xsig))
+        G, b, _ = estimate._gram(estimate._data_blocks(whole.ysig, whole.xsig))
         init = ols(whole.ysig, whole.xsig)
         for ours, theirs in [(stage.G, G), (stage.b, b), (stage.init, init)]:
             assert np.max(np.abs(ours - theirs)) <= 1e-12 * np.max(np.abs(theirs))
         lmax = stage.lambda_max()
         grid = np.geomspace(lmax, 1e-4 * lmax, 50)
-        direct = lambda_path(whole.ysig, whole.xsig, AdaLassoConfig(0.0, init, stage.penalize_mask),
-                             grid)
+        direct = lambda_path(whole.ysig, whole.xsig, grid, init, stage.penalize_mask)
         assert ([s.active_set.tolist() for s in stage.path(grid)]
                 == [s.active_set.tolist() for s in direct])
 
@@ -263,6 +288,12 @@ class TestSecondStage:
         data = Dataset(X=X, Y=rng.normal(size=X.shape[0]))
         with pytest.raises(DomainError, match="finite, but their cross products overflow"):
             SecondStage.from_data(data)
+
+    def test_blocked_stage_makes_each_gram_form_once(self, monkeypatch):
+        """One p x p form for stage one and one d x d form over all row blocks for stage two."""
+        shapes = _counting_grams(monkeypatch)
+        SecondStage.from_data(dgp_sample(SimConfig(n=estimate._BLOCK_ROWS + 1, p=6, seed=17), 0))
+        assert shapes == [(6, 6), (21, 21)]
 
     def test_stage_holds_a_fraction_of_the_design(self):
         data = dgp_sample(SimConfig(n=200_000, p=10, seed=15), 0)
@@ -359,12 +390,10 @@ class TestSelectMeans:
     def test_one_gram_serves_init_and_lasso(self, monkeypatch):
         data = draw_dataset(500, seed=12)
         mask = np.arange(data.p) > 0
-        apart = adaptive_lasso(data.Y, data.X, AdaLassoConfig(0.2, ols(data.Y, data.X), mask))
-        calls = []
-        cross = estimate._cross
-        monkeypatch.setattr(estimate, "_cross", lambda *args: calls.append(args) or cross(*args))
+        apart = adaptive_lasso(data.Y, data.X, 0.2, ols(data.Y, data.X), mask)
+        shapes = _counting_grams(monkeypatch)
         sol = select_means(data, 0.2)
-        assert len(calls) == 1
+        assert shapes == [(data.p, data.p)]
         assert np.array_equal(sol.beta, apart.beta) and sol.kkt_residual == apart.kkt_residual
 
     def test_study_scale_support_recovery(self):
@@ -481,7 +510,7 @@ class TestSandwich:
         d = half_dim(2)
         beta = np.array([1.0, 0.5, 0.5])
         whole = build_second_stage(data, np.zeros(2))
-        G, b = estimate._gram(*estimate._cross(whole.ysig, whole.xsig))
+        G, b, _ = estimate._gram(estimate._data_blocks(whole.ysig, whole.xsig))
         stage = SecondStage(mu_hat=np.zeros(2), ysig=whole.ysig, init=np.ones(d),
                             penalize_mask=np.ones(d, dtype=bool), G=G, b=b)
         fake = MomentFit(

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rcreg import (
-    AdaLassoConfig,
     DomainError,
     SecondStage,
     SimConfig,
@@ -44,7 +43,7 @@ def orthonormal_design(seed, n=400, p=6):
 class TestSolverBasics:
     def test_zero_penalty_equals_ols(self):
         X, Y, _ = random_regression(0)
-        sol = adaptive_lasso(Y, X, AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1])))
+        sol = adaptive_lasso(Y, X, 0.0, np.ones(X.shape[1]))
         assert sol.converged
         assert np.max(np.abs(sol.beta - ols(Y, X))) <= 1e-7
 
@@ -55,7 +54,7 @@ class TestSolverBasics:
         Y = X @ beta + rng.normal(size=X.shape[0])
         init = rng.uniform(0.4, 2.5, X.shape[1])
         lam = 0.4
-        sol = adaptive_lasso(Y, X, AdaLassoConfig(lam=lam, init=init))
+        sol = adaptive_lasso(Y, X, lam, init)
         b_ols = ols(Y, X)
         expect = np.sign(b_ols) * np.maximum(np.abs(b_ols) - lam / np.abs(init), 0.0)
         assert np.max(np.abs(sol.beta - expect)) <= 1e-8
@@ -66,15 +65,14 @@ class TestSolverBasics:
         Y = X @ np.array([1.0, 2.0, -1.0, 0.0, 0.5, 0.0]) + rng.normal(size=X.shape[0])
         init = rng.uniform(0.5, 2.0, X.shape[1])
         lam = float(np.max(np.abs(init * (X.T @ Y) / X.shape[0])))
-        sol = adaptive_lasso(Y, X, AdaLassoConfig(lam=lam, init=init))
+        sol = adaptive_lasso(Y, X, lam, init)
         assert np.array_equal(sol.beta, np.zeros(X.shape[1]))
 
     def test_unpenalized_coordinate_solves_normal_equation(self):
         X, Y, _ = random_regression(5)
         mask = np.ones(X.shape[1], dtype=bool)
         mask[0] = False
-        cfg = AdaLassoConfig(lam=0.8, init=np.ones(X.shape[1]), penalize_mask=mask)
-        sol = adaptive_lasso(Y, X, cfg)
+        sol = adaptive_lasso(Y, X, 0.8, np.ones(X.shape[1]), mask)
         grad0 = 2.0 / X.shape[0] * (X[:, 0] @ (X @ sol.beta - Y))
         assert abs(grad0) <= KKT_TOL
 
@@ -82,27 +80,27 @@ class TestSolverBasics:
         X, Y, _ = random_regression(6)
         init = np.ones(X.shape[1])
         init[2] = 0.0
-        sol = adaptive_lasso(Y, X, AdaLassoConfig(lam=0.01, init=init))
+        sol = adaptive_lasso(Y, X, 0.01, init)
         assert sol.beta[2] == 0.0
         assert 2 not in sol.active_set
 
     def test_max_iter_returns_best_iterate(self, monkeypatch):
         X, Y, _ = random_regression(7)
         monkeypatch.setattr(estimate, "MAX_BREAKPOINTS", 1)
-        sol = adaptive_lasso(Y, X, AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1])))
+        sol = adaptive_lasso(Y, X, 0.0, np.ones(X.shape[1]))
         assert not sol.converged
         assert np.all(np.isfinite(sol.beta))
 
     def test_negative_lambda_rejected(self):
         X, Y, _ = random_regression(8)
         with pytest.raises(DomainError):
-            adaptive_lasso(Y, X, AdaLassoConfig(lam=-1.0, init=np.ones(X.shape[1])))
+            adaptive_lasso(Y, X, -1.0, np.ones(X.shape[1]))
 
     @pytest.mark.parametrize("lam", [np.inf, np.nan])
     def test_non_finite_lambda_rejected(self, lam):
         X, Y, _ = random_regression(8)
         with pytest.raises(DomainError, match="finite"):
-            adaptive_lasso(Y, X, AdaLassoConfig(lam=lam, init=np.ones(X.shape[1])))
+            adaptive_lasso(Y, X, lam, np.ones(X.shape[1]))
 
 
 class TestKKT:
@@ -114,11 +112,11 @@ class TestKKT:
         if seed % 2:
             init[rng.integers(0, X.shape[1])] = 0.0
         mask = rng.random(X.shape[1]) < 0.8
-        cfg = AdaLassoConfig(lam=float(rng.uniform(0, 1)), init=init, penalize_mask=mask)
-        sol = adaptive_lasso(Y, X, cfg)
+        lam = float(rng.uniform(0, 1))
+        sol = adaptive_lasso(Y, X, lam, init, mask)
         assert sol.converged
         assert sol.kkt_residual <= KKT_TOL
-        assert kkt_residual(Y, X, sol.beta, cfg) <= 10 * KKT_TOL
+        assert kkt_residual(Y, X, sol.beta, lam, init, mask) <= 10 * KKT_TOL
 
     def test_scaling_identity(self):
         """Scaling (Y, init, lam) -> (cY, c init, c^2 lam) scales the solution by c."""
@@ -126,17 +124,15 @@ class TestKKT:
         rng = np.random.default_rng(11)
         init = rng.uniform(0.5, 2.0, X.shape[1])
         lam, c = 0.3, 3.5
-        base = adaptive_lasso(Y, X, AdaLassoConfig(lam=lam, init=init))
-        scaled = adaptive_lasso(
-            c * Y, X, AdaLassoConfig(lam=c * c * lam, init=c * init)
-        )
+        base = adaptive_lasso(Y, X, lam, init)
+        scaled = adaptive_lasso(c * Y, X, c * c * lam, c * init)
         assert np.max(np.abs(scaled.beta - c * base.beta)) <= 1e-6 * max(1.0, c)
 
     def test_ols_homogeneity(self):
         X, Y, _ = random_regression(12)
         c = 2.25
-        b1 = adaptive_lasso(Y, X, AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1])))
-        b2 = adaptive_lasso(c * Y, X, AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1])))
+        b1 = adaptive_lasso(Y, X, 0.0, np.ones(X.shape[1]))
+        b2 = adaptive_lasso(c * Y, X, 0.0, np.ones(X.shape[1]))
         assert np.max(np.abs(b2.beta - c * b1.beta)) <= 1e-7 * c
 
 
@@ -145,8 +141,7 @@ class TestLambdaPath:
         X, Y, _ = random_regression(20)
         init = np.full(X.shape[1], 1.5)
         lmax = lambda_max(Y, X, init)
-        cfg = AdaLassoConfig(lam=0.0, init=init)
-        sols = lambda_path(Y, X, cfg, [2 * lmax, 0.0])
+        sols = lambda_path(Y, X, [2 * lmax, 0.0], init)
         assert np.array_equal(sols[0].beta, np.zeros(X.shape[1]))
         assert np.max(np.abs(sols[-1].beta - ols(Y, X))) <= 1e-7
 
@@ -157,7 +152,7 @@ class TestLambdaPath:
         init = rng.uniform(0.5, 2.0, X.shape[1])
         lmax = lambda_max(Y, X, init)
         grid = np.geomspace(lmax, lmax * 1e-3, 12)
-        sols = lambda_path(Y, X, AdaLassoConfig(lam=0.0, init=init), grid)
+        sols = lambda_path(Y, X, grid, init)
         sizes = [s.active_set.size for s in sols]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
@@ -166,26 +161,21 @@ class TestLambdaPath:
         rng = np.random.default_rng(22)
         init = rng.uniform(0.5, 2.0, X.shape[1])
         grid = np.geomspace(1.0, 1e-3, 8)
-        warm = lambda_path(Y, X, AdaLassoConfig(lam=0.0, init=init), grid)
+        warm = lambda_path(Y, X, grid, init)
         for lam, ws in zip(grid, warm):
-            cold = adaptive_lasso(Y, X, AdaLassoConfig(lam=float(lam), init=init))
+            cold = adaptive_lasso(Y, X, float(lam), init)
             assert np.max(np.abs(cold.beta - ws.beta)) <= 1e-6
 
     def test_ascending_grid_rejected(self):
         X, Y, _ = random_regression(23)
         with pytest.raises(DomainError):
-            lambda_path(Y, X, AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1])), [0.1, 1.0])
+            lambda_path(Y, X, [0.1, 1.0], np.ones(X.shape[1]))
 
     @pytest.mark.parametrize("grid", [[np.inf, 1.0, 0.1], [1.0, 0.1, np.nan]])
     def test_non_finite_grid_rejected(self, grid):
         X, Y, _ = random_regression(23)
         with pytest.raises(DomainError, match="finite"):
-            lambda_path(Y, X, AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1])), grid)
-
-    def test_path_does_not_read_the_config_level(self):
-        X, Y, _ = random_regression(24, p=2)
-        sols = lambda_path(Y, X, AdaLassoConfig(lam=np.nan, init=np.ones(2)), [1.0, 0.5])
-        assert [s.lam for s in sols] == [1.0, 0.5] and all(s.converged for s in sols)
+            lambda_path(Y, X, grid, np.ones(X.shape[1]))
 
 
 class TestExactPath:
@@ -204,16 +194,14 @@ class TestExactPath:
         mask[1] = True
         if seed % 2:
             init[rng.integers(2, p)] = 0.0
-        cfg = AdaLassoConfig(lam=0.0, init=init, penalize_mask=mask)
         lmax = lambda_max(Y, X, init, mask)
         grid = np.concatenate([[2.0 * lmax], np.geomspace(lmax, 1e-4 * lmax, 20), [0.0]])
-        sols = lambda_path(Y, X, cfg, grid)
+        sols = lambda_path(Y, X, grid, init, mask)
         assert sum(s.iterations for s in sols) >= 1
         for lam, sol in zip(grid, sols):
-            at = replace(cfg, lam=float(lam))
             assert sol.converged and sol.lam == lam
-            assert kkt_residual(Y, X, sol.beta, at) <= 10 * KKT_TOL
-            single = adaptive_lasso(Y, X, at)
+            assert kkt_residual(Y, X, sol.beta, float(lam), init, mask) <= 10 * KKT_TOL
+            single = adaptive_lasso(Y, X, float(lam), init, mask)
             assert np.max(np.abs(single.beta - sol.beta)) <= 1e-10
         assert np.all(sols[0].beta[mask] == 0.0) and np.all(sols[1].beta[mask] == 0.0)
 
@@ -224,7 +212,7 @@ class TestExactPath:
         init = rng.uniform(-2.5, 2.5, X.shape[1])
         b_ols = ols(Y, X)
         grid = np.geomspace(lambda_max(Y, X, init), 1e-3, 25)
-        sols = lambda_path(Y, X, AdaLassoConfig(lam=0.0, init=init), grid)
+        sols = lambda_path(Y, X, grid, init)
         for lam, sol in zip(grid, sols):
             expect = np.sign(b_ols) * np.maximum(np.abs(b_ols) - lam / np.abs(init), 0.0)
             assert np.max(np.abs(sol.beta - expect)) <= 1e-10
@@ -232,17 +220,16 @@ class TestExactPath:
     def test_rank_deficient_design_raises_singular_gram(self):
         X, Y, _ = random_regression(41)
         X = np.concatenate([X, X[:, [2]]], axis=1)
-        cfg = AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1]))
+        init = np.ones(X.shape[1])
         with pytest.raises(SingularGramError):
-            adaptive_lasso(Y, X, cfg)
+            adaptive_lasso(Y, X, 0.0, init)
         with pytest.raises(SingularGramError):
-            lambda_path(Y, X, cfg, [1.0, 0.0])
+            lambda_path(Y, X, [1.0, 0.0], init)
 
     def test_max_iter_bounds_breakpoints_of_the_walk(self, monkeypatch):
         X, Y, _ = random_regression(42)
         monkeypatch.setattr(estimate, "MAX_BREAKPOINTS", 2)
-        cfg = AdaLassoConfig(lam=0.0, init=np.ones(X.shape[1]))
-        sols = lambda_path(Y, X, cfg, [1e6, 0.0, 0.0])
+        sols = lambda_path(Y, X, [1e6, 0.0, 0.0], np.ones(X.shape[1]))
         assert sols[0].converged and sols[0].iterations == 0
         assert [s.converged for s in sols[1:]] == [False, False]
         assert sols[1].iterations == 2 and sols[2].iterations == 0
@@ -252,10 +239,10 @@ class TestExactPath:
 def test_fortran_ordered_design_gives_the_same_path():
     """Same active sets; the layouts' Gram products may differ in the last bits."""
     X, Y, beta = random_regression(43, n=300, p=8, sparse=True)
-    cfg = AdaLassoConfig(lam=0.0, init=ols(Y, X))
-    grid = np.geomspace(lambda_max(Y, X, cfg.init), 1e-3, 20)
-    c_path = lambda_path(Y, np.ascontiguousarray(X), cfg, grid)
-    f_path = lambda_path(Y, np.asfortranarray(X), cfg, grid)
+    init = ols(Y, X)
+    grid = np.geomspace(lambda_max(Y, X, init), 1e-3, 20)
+    c_path = lambda_path(Y, np.ascontiguousarray(X), grid, init)
+    f_path = lambda_path(Y, np.asfortranarray(X), grid, init)
     for c, f in zip(c_path, f_path):
         assert c.converged and f.converged
         assert np.array_equal(c.active_set, f.active_set)
@@ -279,7 +266,7 @@ def _cross_check_instance(seed):
     beta = rng.uniform(-2, 2, p) * (rng.random(p) < 0.6)
     Y = X @ beta + rng.normal(size=n)
     init = rng.uniform(-2, 2, p) * (rng.random(p) < 0.9)
-    return X, Y, AdaLassoConfig(lam=0.0, init=init, penalize_mask=rng.random(p) < 0.8)
+    return X, Y, init, rng.random(p) < 0.8
 
 
 def _refactoring_at_every_breakpoint(monkeypatch, sizes):
@@ -321,16 +308,16 @@ class TestKeptInverse:
     def test_path_matches_a_fresh_factor_at_every_breakpoint(self, monkeypatch):
         leaves = 0
         for seed in range(self.INSTANCES):
-            X, Y, cfg = _cross_check_instance(seed)
-            top = max(lambda_max(Y, X, cfg.init, cfg.penalize_mask), 1e-8)
+            X, Y, init, mask = _cross_check_instance(seed)
+            top = max(lambda_max(Y, X, init, mask), 1e-8)
             grid = np.concatenate([np.geomspace(top, 1e-4 * top, 40), [0.0]])
             with monkeypatch.context() as m:
                 _refusing_refactors(m)
-                path = lambda_path(Y, X, cfg, grid)
+                path = lambda_path(Y, X, grid, init, mask)
             sizes = []
             with monkeypatch.context() as m:
                 _refactoring_at_every_breakpoint(m, sizes)
-                reference = lambda_path(Y, X, cfg, grid)
+                reference = lambda_path(Y, X, grid, init, mask)
             leaves += int(np.count_nonzero(np.diff(sizes) < 0))
             # beta in units of unit-RMS columns: the weighted problem is equivariant to
             # column scale, so a badly scaled design's small columns carry no extra weight
@@ -346,9 +333,9 @@ class TestKeptInverse:
     def test_drifted_level_is_read_again_after_a_refactor(self, monkeypatch):
         """Segments arrive with 1e-6 relative drift unless the walk asks for a refactor."""
         X, Y, _ = random_regression(45, sparse=True)
-        cfg = AdaLassoConfig(lam=0.0, init=ols(Y, X))
-        grid = np.geomspace(lambda_max(Y, X, cfg.init), 1e-3, 20)
-        clean = lambda_path(Y, X, cfg, grid)
+        init = ols(Y, X)
+        grid = np.geomspace(lambda_max(Y, X, init), 1e-3, 20)
+        clean = lambda_path(Y, X, grid, init)
         kept, refactors = estimate._segments, []
 
         def drifting(*args):
@@ -363,7 +350,7 @@ class TestKeptInverse:
                 seg = next(segments)
 
         monkeypatch.setattr(estimate, "_segments", drifting)
-        for ours, theirs in zip(lambda_path(Y, X, cfg, grid), clean):
+        for ours, theirs in zip(lambda_path(Y, X, grid, init), clean):
             assert ours.converged and ours.kkt_residual <= KKT_TOL
             assert np.array_equal(ours.active_set, theirs.active_set)
             assert np.max(np.abs(ours.beta - theirs.beta)) <= 1e-12 * np.max(np.abs(theirs.beta))
@@ -374,13 +361,12 @@ class TestKeptInverse:
         z = np.random.default_rng(44).normal(size=X.shape[0])
         X = np.concatenate([X, X[:, [2]] + 1e-9 * z[:, None]], axis=1)
         init = np.ones(X.shape[1])
-        cfg = AdaLassoConfig(lam=1e6, init=init)  # every penalized coordinate is zero there
         with pytest.raises(SingularGramError):
             lambda_max(Y, X, init)
         with pytest.raises(SingularGramError):
-            adaptive_lasso(Y, X, cfg)
+            adaptive_lasso(Y, X, 1e6, init)  # every penalized coordinate is zero there
         with pytest.raises(SingularGramError):
-            lambda_path(Y, X, cfg, [1e6, 1.0])
+            lambda_path(Y, X, [1e6, 1.0], init)
 
     def test_one_rank_test_per_walk(self, monkeypatch):
         stage = SecondStage.from_data(dgp_sample(SimConfig(n=5000, p=20, seed=91), 0))
@@ -422,11 +408,11 @@ class TestRankTestPlacement:
 
     def test_raw_calls_test_the_free_coordinates_once(self, monkeypatch):
         X, Y, _ = random_regression(46)
-        cfg = AdaLassoConfig(lam=0.5, init=ols(Y, X))
+        init = ols(Y, X)
         calls = _counting_rank_tests(monkeypatch)
-        lambda_max(Y, X, cfg.init)
-        adaptive_lasso(Y, X, cfg)
-        lambda_path(Y, X, cfg, [2.0, 0.5])
+        lambda_max(Y, X, init)
+        adaptive_lasso(Y, X, 0.5, init)
+        lambda_path(Y, X, [2.0, 0.5], init)
         assert calls == [(6, 6)] * 3
 
     def test_singular_only_where_excluded_is_accepted(self):
@@ -434,14 +420,13 @@ class TestRankTestPlacement:
         X = np.concatenate([X, X[:, [2]]], axis=1)  # a duplicate column
         init = np.ones(X.shape[1])
         init[-1] = 0.0  # excluded: fixed at zero, never activated
-        cfg = AdaLassoConfig(lam=0.1, init=init)
         top = lambda_max(Y, X, init)
         assert top > 0.0
-        for sol in [adaptive_lasso(Y, X, cfg), *lambda_path(Y, X, cfg, [top, 0.1, 0.0])]:
+        for sol in [adaptive_lasso(Y, X, 0.1, init), *lambda_path(Y, X, [top, 0.1, 0.0], init)]:
             assert sol.converged and sol.beta[-1] == 0.0
-        cfg = replace(cfg, init=np.ones(X.shape[1]))  # the duplicate may now activate
-        for call in (lambda: lambda_max(Y, X, cfg.init), lambda: adaptive_lasso(Y, X, cfg),
-                     lambda: lambda_path(Y, X, cfg, [top, 0.1])):
+        init = np.ones(X.shape[1])  # the duplicate may now activate
+        for call in (lambda: lambda_max(Y, X, init), lambda: adaptive_lasso(Y, X, 0.1, init),
+                     lambda: lambda_path(Y, X, [top, 0.1], init)):
             with pytest.raises(SingularGramError):
                 call()
 

@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcreg import (
-    AdaLassoConfig,
     DimensionError,
     DomainError,
     LassoSolution,
@@ -194,14 +193,14 @@ def grid_with_breakpoints(G, b, init, mask, rng, size: int):
 
 
 def assert_walks_agree(X, Y, init, mask, grid, segments_of=reference_segments):
-    G, b = estimate._gram(*estimate._cross(Y, X))
+    G, b, _ = estimate._gram(estimate._data_blocks(Y, X))
     try:
         ref = reference_walk(G, b, init, mask, grid, segments_of)
     except SingularGramError:
         with pytest.raises(SingularGramError):
-            lambda_path(Y, X, AdaLassoConfig(lam=0.0, init=init, penalize_mask=mask), grid)
+            lambda_path(Y, X, grid, init, mask)
         return
-    ours = lambda_path(Y, X, AdaLassoConfig(lam=0.0, init=init, penalize_mask=mask), grid)
+    ours = lambda_path(Y, X, grid, init, mask)
     assert [fields(s) for s in ours] == [fields(s) for s in ref]
     first = next(reference_segments(G, b, *_penalty(init, mask, G.shape[0]))).lo
     assert repr(lambda_max(Y, X, init, mask)) == repr(float(first))
@@ -235,7 +234,7 @@ class TestWalkReference:
     @example(seed=7, n=40, p=8, rho=0.95, zero_frac=0.3, free_frac=0.2, size=12)
     def test_every_solution_field_matches(self, seed, n, p, rho, zero_frac, free_frac, size):
         X, Y, init, mask = instance(seed, n, p, rho, zero_frac, free_frac)
-        G, b = estimate._gram(*estimate._cross(Y, X))
+        G, b, _ = estimate._gram(estimate._data_blocks(Y, X))
         try:
             grid = grid_with_breakpoints(G, b, init, mask, np.random.default_rng(seed), size)
         except SingularGramError:
@@ -247,7 +246,7 @@ class TestWalkReference:
     def test_breakpoint_budget(self, budget, seed, n, p, rho, zero_frac, free_frac, size):
         """A walk cut short by ``MAX_BREAKPOINTS`` gives the same unconverged levels."""
         X, Y, init, mask = instance(seed, n, p, rho, zero_frac, free_frac)
-        G, b = estimate._gram(*estimate._cross(Y, X))
+        G, b, _ = estimate._gram(estimate._data_blocks(Y, X))
         try:
             grid = grid_with_breakpoints(G, b, init, mask, np.random.default_rng(seed), size)
         except SingularGramError:
@@ -261,7 +260,7 @@ class TestWalkReference:
     def test_refactored_levels(self, seed, n, p, rho, zero_frac, free_frac, size):
         """Drifted segments make the walk refactor (``send(True)``) and read levels again."""
         X, Y, init, mask = instance(seed, n, p, rho, zero_frac, free_frac)
-        G, b = estimate._gram(*estimate._cross(Y, X))
+        G, b, _ = estimate._gram(estimate._data_blocks(Y, X))
         try:
             grid = grid_with_breakpoints(G, b, init, mask, np.random.default_rng(seed), size)
         except SingularGramError:
@@ -275,7 +274,7 @@ class TestWalkReference:
         leaves = 0
         for seed in range(30):
             X, Y, init, mask = instance(seed, 40, 8, 0.95, 0.3, 0.2)
-            G, b = estimate._gram(*estimate._cross(Y, X))
+            G, b, _ = estimate._gram(estimate._data_blocks(Y, X))
             sizes = [size for _, size in breakpoints(G, b, init, mask)]
             leaves += int(np.count_nonzero(np.diff(sizes) < 0))
             grid = grid_with_breakpoints(G, b, init, mask, np.random.default_rng(seed), 12)
