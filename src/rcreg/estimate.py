@@ -17,12 +17,13 @@ variance by default) ignore their initial estimate entirely.
 Stage two of a dataset is one :class:`SecondStage`, built once by
 ``SecondStage.from_data``; fits at one level and paths share it.  Its
 n x p(p+1)/2 design is formed ``_BLOCK_ROWS`` rows at a time, never whole.
-Data reach the solvers by one door: :func:`_data_blocks` refuses a caller's
-non-finite or mismatched ``(Y, X)`` before any product, and :func:`_gram` forms
-the Gram form ``(X'X/n, X'Y/n)`` of any row blocks, once per stage.  Every
-Gram matrix is judged once by one rank rule, :func:`_unit_diagonal`: a
-stage's walks rely on the whole-Gram test of its least squares fit, and the
-raw-data solvers test the coordinates not excluded.
+Data reach the solvers, :class:`Dataset` and :func:`witness_check` by one door:
+:func:`_data_blocks` refuses a caller's non-finite or mismatched ``(Y, X)`` before
+any product, and :func:`_gram` forms the Gram form ``(X'X/n, X'Y/n)`` of any row
+blocks, once per stage or per call.  Every Gram matrix is judged once by one
+rank rule, :func:`_unit_diagonal`: a stage's walks rely on the whole-Gram test
+of its least squares fit, and the raw-data solvers test the coordinates not
+excluded.
 
 The solver follows the exact piecewise-linear solution path in Gram form
 (X'X/n, X'y/n): one walk serves a whole grid of levels, and a single level
@@ -81,25 +82,17 @@ _BLOCK_ROWS = 16384
 
 @dataclass(frozen=True)
 class Dataset:
-    """n observations of (Y, X) where X carries a leading intercept column."""
+    """n observations of (Y, X) where X carries a leading intercept column: refused by
+    the solvers' rule (:func:`_data_blocks`), then unless n >= p and column 0 is all ones."""
 
     X: np.ndarray
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float).reshape(-1)
-        if X.ndim != 2:
-            raise DimensionError(f"X must be 2-D, got shape {X.shape}")
-        if X.shape[0] != Y.shape[0]:
-            raise DimensionError(
-                f"X has {X.shape[0]} rows but Y has {Y.shape[0]} entries"
-            )
+        (X, Y), = _data_blocks(self.Y, self.X, "a dataset")
         if X.shape[0] < X.shape[1]:
             raise DimensionError(f"need n >= p, got n={X.shape[0]}, p={X.shape[1]}")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-            raise DomainError("X and Y must be finite (no NaN or infinity)")
-        if not np.all(X[:, 0] == 1.0):
+        if X.shape[1] == 0 or not np.all(X[:, 0] == 1.0):
             raise DomainError("first column of X must be identically one")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
@@ -345,14 +338,16 @@ def _violations(grad, beta, thr, optimized):
 def kkt_residual(Y, X, beta, lam, init, penalize_mask=None) -> float:
     """Stationarity residual of ``beta`` at level ``lam``, recomputed from the raw data.
 
-    Independent of the solver's internal Gram bookkeeping; a converged
-    solution satisfies ``kkt_residual <= KKT_TOL * max(1, max|X'Y/n|)`` up
-    to round-off.
+    Independent of the solver's internal Gram bookkeeping; non-finite data or
+    ``beta`` are refused before any product.  A converged solution satisfies
+    ``kkt_residual <= KKT_TOL * max(1, max|X'Y/n|)`` up to round-off.
     """
     (X, Y), = _data_blocks(Y, X)
     beta = np.asarray(beta, dtype=float).reshape(-1)
     if beta.shape[0] != X.shape[1]:
         raise DimensionError(f"beta must have length {X.shape[1]}, got {beta.shape[0]}")
+    if not np.isfinite(beta).all():
+        raise DomainError("the KKT residual needs a finite beta")
     lam, = _levels([lam])
     scale, excluded = _penalty(init, penalize_mask, X.shape[1])
     grad = (2.0 / X.shape[0]) * (X.T @ (X @ beta - Y))
@@ -511,7 +506,7 @@ def adaptive_lasso(Y, X, lam, init, penalize_mask=None) -> LassoSolution:
     last one with ``converged=False`` rather than raising; a numerically
     singular active Gram raises :class:`SingularGramError`.
     """
-    return _walk(*_walk_args(Y, X, init, penalize_mask), [lam])[0]
+    return _walk(*_walk_args(_gram(_data_blocks(Y, X)), init, penalize_mask), [lam])[0]
 
 
 def lambda_max(Y, X, init, penalize_mask=None) -> float:
@@ -520,12 +515,13 @@ def lambda_max(Y, X, init, penalize_mask=None) -> float:
     It is the first breakpoint of the exact path, computed by the same code,
     so a :func:`lambda_path` grid that starts at it gives exact zeros there.
     """
-    return _lambda_max(*_walk_args(Y, X, init, penalize_mask))
+    return _lambda_max(*_walk_args(_gram(_data_blocks(Y, X)), init, penalize_mask))
 
 
-def _walk_args(Y, X, init, penalize_mask):
-    """``(G, b, init, penalize_mask)`` of raw data for a walk, rank-tested where not excluded."""
-    G, b, _ = _gram(_data_blocks(Y, X))
+def _walk_args(form, init, penalize_mask):
+    """``(G, b, init, penalize_mask)`` for a walk from the :func:`_gram` ``form`` of raw
+    data, G rank-tested where not excluded."""
+    G, b, _ = form
     free = np.flatnonzero(~_penalty(init, penalize_mask, G.shape[0])[1])
     _unit_diagonal(G[np.ix_(free, free)], SingularGramError,
                    "Gram matrix over the coordinates the path may activate")
@@ -538,18 +534,22 @@ def _lambda_max(G, b, init, penalize_mask) -> float:
 
 def lambda_path(Y, X, grid, init, penalize_mask=None) -> list[LassoSolution]:
     """Exact solutions along a descending grid of penalty levels, from one walk down the path."""
-    return _walk(*_walk_args(Y, X, init, penalize_mask), grid)
+    return _walk(*_walk_args(_gram(_data_blocks(Y, X)), init, penalize_mask), grid)
 
 
 def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> WitnessReport:
     """Certify exact support recovery of the weighted-l1 solution on S.
 
-    Evaluates the closed-form candidate restricted to S together with the
-    strict dual feasibility condition on the complement.  In simulation
-    mode (``beta_star`` given, supported on S) the noise is Y - X beta_star
-    and signs come from the truth; otherwise both are taken from the
-    restricted least squares fit.  When the certificate holds, the solver is
-    run and must agree with the closed form within ``agreement_tol``.
+    The certificate is read from the Gram form ``(G, b)`` the solver walks.
+    Signs ``s`` come from ``beta_star`` (given, supported on S) or else from
+    the restricted least squares fit ``G_SS^-1 b_S``; with ``w = lam * s /
+    |init_S|`` the closed-form candidate on S is ``beta_tilde = G_SS^-1 (b_S -
+    w)``, and strict dual feasibility asks ``|(b - G beta_tilde)_k| < lam /
+    |init_k|`` off S (vacuous where init is zero).  Both are the noise forms:
+    for any ``t`` on S and noise ``eps = Y - X_S t``, ``t + G_SS^-1 (X_S' eps / n
+    - w) = G_SS^-1 (b_S - w)``, so ``beta_star`` contributes only its signs.
+    When the certificate holds, the solver walks the same ``(G, b)`` and must
+    agree with the closed form within ``agreement_tol``.
 
     Raises
     ------
@@ -557,21 +557,19 @@ def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> Wit
         If the certificate holds but the solver solution differs; this
         indicates a solver defect.
     """
-    (X, Y), = _data_blocks(Y, X)
-    n, p = X.shape
+    G, b, n = form = _gram(_data_blocks(Y, X))
+    p = G.shape[0]
     S = np.asarray(S, dtype=int).reshape(-1)
     if S.size > n:
         raise DimensionError(f"|S|={S.size} exceeds the sample size {n}")
+    if np.any((S < 0) | (S >= p)):
+        raise DimensionError(f"S must index the {p} columns of X, got {S.tolist()}")
     lam, = _levels([lam])
     scale, excluded = _penalty(init, None, p)
     if np.any(excluded[S]):
         raise DomainError("initial estimate vanishes on the candidate support")
-    mask = np.zeros(p, dtype=bool)
-    mask[S] = True
-    Sc = np.flatnonzero(~mask)
-    Xs = X[:, S]
-    Gs = Xs.T @ Xs
-    _unit_diagonal(Gs, SingularDesignError, "design restricted to S")
+    Sc = np.setdiff1d(np.arange(p), S)
+    root, scaled = _unit_diagonal(G[np.ix_(S, S)], SingularDesignError, "design restricted to S")
     if beta_star is not None:
         beta_star = np.asarray(beta_star, dtype=float).reshape(-1)
         if beta_star.shape[0] != p:
@@ -582,26 +580,19 @@ def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> Wit
             raise DomainError("beta_star must be supported on S")
         if np.any(beta_star[S] == 0.0):
             raise DomainError("beta_star must be nonzero on S")
-        target = beta_star[S]
-        eps = Y - Xs @ target
+        signs = np.sign(beta_star[S])
     else:
-        target = np.linalg.solve(Gs, Xs.T @ Y)
-        eps = Y - Xs @ target
-    signs = np.sign(target)
+        signs = np.sign(np.linalg.solve(scaled, b[S] / root) / root)
 
-    weighted_signs = lam * signs / scale[S]
-    correction = np.linalg.solve(Gs / n, (Xs.T @ eps) / n - weighted_signs)
-    beta_tilde = target + correction
-
-    proj_eps = eps - Xs @ np.linalg.solve(Gs, Xs.T @ eps)
-    lhs = X[:, Sc].T @ Xs @ np.linalg.solve(Gs, weighted_signs) + (X[:, Sc].T @ proj_eps) / n
+    beta_tilde = np.linalg.solve(scaled, (b[S] - lam * signs / scale[S]) / root) / root
+    lhs = b[Sc] - G[np.ix_(Sc, S)] @ beta_tilde
     rhs = np.where(excluded[Sc], np.inf, lam / scale[Sc])
     condition1 = bool(np.all(np.abs(lhs) < rhs))
     sign_match = bool(np.all(np.sign(beta_tilde) == signs) and np.all(signs != 0.0))
 
     solution = None
     if condition1 and sign_match:
-        solution = adaptive_lasso(Y, X, lam, init)
+        solution = _walk(*_walk_args(form, init, None), [lam])[0]
         off_support_zero = bool(np.all(solution.beta[Sc] == 0.0))
         agrees = bool(np.max(np.abs(solution.beta[S] - beta_tilde)) <= agreement_tol)
         if not (off_support_zero and agrees):

@@ -126,7 +126,6 @@ def _finite_real(value) -> bool:
 class RepResult:
     """Per-replication selection outcome."""
 
-    signs: tuple[int, ...]
     fp: int
     fn: int
     sign_ok: bool
@@ -232,7 +231,6 @@ def run_replication(cfg: SimConfig, rep_index: int) -> RepResult:
         sub = fit.Sigma_hat[np.ix_(block, block)]
         block_psd = bool(min_eigenvalue(sub) >= -PSD_TOL)
     return RepResult(
-        signs=tuple(est_sign.tolist()),
         fp=fp,
         fn=fn,
         sign_ok=bool(np.array_equal(est_sign, true_sign)),

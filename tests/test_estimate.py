@@ -160,7 +160,16 @@ class TestOls:
             with pytest.raises(DomainError, match="least squares needs finite X and Y"):
                 call()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_kkt_residual_refuses_non_finite_beta(self, bad):
+        X, Y = np.random.default_rng(7).normal(size=(8, 2)), np.ones(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="needs a finite beta"):
+                kkt_residual(Y, X, [bad, 0.0], 1.0, np.ones(2))
+
     @pytest.mark.parametrize("entry", ["kkt_residual", "witness_check_1d", "witness_check_rows",
+                                       "witness_check_past_p", "witness_check_negative",
                                        "ols_no_rows", "kkt_residual_no_rows"])
     def test_mismatched_shapes_are_dimension_errors(self, entry):
         X, Y, init = np.random.default_rng(6).normal(size=(8, 3)), np.ones(8), np.ones(3)
@@ -168,6 +177,8 @@ class TestOls:
             "kkt_residual": lambda: kkt_residual(Y, X, np.zeros(2), 1.0, init),
             "witness_check_1d": lambda: witness_check(X[:, 1], Y, [0], 1.0, init[:1]),
             "witness_check_rows": lambda: witness_check(X, Y[:7], [0, 1], 1.0, init),
+            "witness_check_past_p": lambda: witness_check(X, Y, [0, 3], 1.0, init),
+            "witness_check_negative": lambda: witness_check(X, Y, [-1], 1.0, init),
             "ols_no_rows": lambda: ols(Y[:0], X[:0]),
             "kkt_residual_no_rows": lambda: kkt_residual(Y[:0], X[:0], np.zeros(3), 1.0, init),
         }[entry]
@@ -183,8 +194,24 @@ class TestOls:
         """Finite X whose Gram overflows: the error says so, with no numpy warning."""
         X = np.ones((6, 2))
         X[:, 1] = np.arange(6) * 1e200
-        with pytest.raises(DomainError, match="finite, but their cross products overflow"):
-            ols(np.ones(6), X)
+        for call in (lambda: ols(np.ones(6), X),
+                     lambda: witness_check(X, np.ones(6), [0, 1], 1.0, np.ones(2))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="finite, but their cross products overflow"):
+                    call()
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e3])
+    def test_witness_check_makes_one_gram_form(self, monkeypatch, lam):
+        """Certified (small lam) or not (large lam), one call forms the Gram once."""
+        rng = np.random.default_rng(8)
+        X = np.concatenate([np.ones((60, 1)), rng.normal(size=(60, 3))], axis=1)
+        beta = np.array([1.0, 0.0, -2.0, 0.0])
+        Y = X @ beta + 0.01 * rng.normal(size=60)
+        shapes = _counting_grams(monkeypatch)
+        rep = witness_check(X, Y, [0, 2], lam, np.where(beta != 0.0, beta, 0.05), beta)
+        assert (rep.solution is not None) == (lam < 1.0)
+        assert shapes == [(4, 4)]
 
 
 class TestSecondStage:
@@ -625,6 +652,17 @@ class TestDatasetValidation:
         X[2, 1] = bad
         with pytest.raises(DomainError, match="finite"):
             Dataset(X=X, Y=np.zeros(3))
+
+    def test_no_columns_is_no_intercept(self):
+        with pytest.raises(DomainError, match="first column of X must be identically one"):
+            Dataset(X=np.ones((3, 0)), Y=np.zeros(3))
+
+    def test_solvers_rule_finite_before_shape(self):
+        """Non-finite data are named before a shape fault, as by every solver entry."""
+        with pytest.raises(DomainError, match="least squares needs finite X and Y"):
+            Dataset(X=np.array([1.0, np.nan]), Y=np.zeros(3))
+        with pytest.raises(DimensionError, match="incompatible shapes"):
+            Dataset(X=np.ones((3, 2)), Y=np.zeros(2))
 
     def test_n_at_least_p(self):
         with pytest.raises(DimensionError):

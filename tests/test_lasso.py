@@ -484,12 +484,65 @@ class TestWitness:
         with pytest.raises(DomainError):
             witness_check(X, Y, S, 0.01, init=bad, beta_star=beta)
 
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_the_noise_vector_reference(self, seed, noise):
+        """The Gram-form certificate against :func:`reference_witness`: beta_tilde to 1e-10
+        relative, each verdict wherever its margin clears 1e-9 (condition 1: |rhs - |lhs||;
+        sign match: min |beta_tilde|), and a certified solution is the solver's to the bit."""
+        X, Y, beta = _supported_instance(40 + seed, noise=noise)
+        S = np.flatnonzero(beta)
+        init = _good_init(beta) * (1.0 + 0.1 * np.random.default_rng(seed).normal(size=beta.size))
+        certified = set()
+        for beta_star in (beta, None):
+            for lam in (0.0, 1e-4, 0.01, 0.05, 0.2, 1.0, 5.0):
+                rep = witness_check(X, Y, S, lam, init, beta_star=beta_star)
+                ref_tilde, ref_cond, ref_sign, margin = reference_witness(
+                    X, Y, S, lam, init, beta_star)
+                assert np.max(np.abs(rep.beta_tilde - ref_tilde)) <= 1e-10 * np.max(
+                    np.abs(ref_tilde))
+                if abs(margin) > 1e-9:
+                    assert rep.condition1 == ref_cond, (lam, beta_star is None)
+                if np.min(np.abs(ref_tilde)) > 1e-9:
+                    assert rep.sign_match == ref_sign, (lam, beta_star is None)
+                certified.add(rep.solution is not None)
+                if rep.solution is not None:
+                    sol = adaptive_lasso(Y, X, lam, init)
+                    assert np.array_equal(rep.solution.beta, sol.beta)
+                    assert np.array_equal(rep.solution.active_set, sol.active_set)
+                    assert (rep.solution.kkt_residual, rep.solution.iterations,
+                            rep.solution.converged, rep.solution.lam) == (
+                        sol.kkt_residual, sol.iterations, sol.converged, sol.lam)
+        assert certified == {True, False}
+
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
     def test_non_finite_or_negative_lambda_rejected(self, lam):
         X, Y, beta = _supported_instance(34, lam_scale=0.0)
         S = np.flatnonzero(beta)
         with pytest.raises(DomainError):
             witness_check(X, Y, S, lam, init=_good_init(beta), beta_star=beta)
+
+
+def reference_witness(X, Y, S, lam, init, beta_star=None):
+    """``witness_check``'s certificate as it read when it formed the Gram over S by hand
+    from the noise ``eps`` and its projection: ``(beta_tilde, condition1, sign_match,
+    margin)``, margin ``min(rhs - |lhs|)`` of condition 1.  No coordinate is excluded."""
+    n = X.shape[0]
+    Sc = np.setdiff1d(np.arange(X.shape[1]), S)
+    scale = np.abs(init)
+    Xs = X[:, S]
+    Gs = Xs.T @ Xs
+    target = np.linalg.solve(Gs, Xs.T @ Y) if beta_star is None else beta_star[S]
+    eps = Y - Xs @ target
+    signs = np.sign(target)
+    weighted_signs = lam * signs / scale[S]
+    correction = np.linalg.solve(Gs / n, (Xs.T @ eps) / n - weighted_signs)
+    beta_tilde = target + correction
+    proj_eps = eps - Xs @ np.linalg.solve(Gs, Xs.T @ eps)
+    lhs = X[:, Sc].T @ Xs @ np.linalg.solve(Gs, weighted_signs) + (X[:, Sc].T @ proj_eps) / n
+    rhs = lam / scale[Sc]
+    sign_match = bool(np.all(np.sign(beta_tilde) == signs) and np.all(signs != 0.0))
+    return beta_tilde, bool(np.all(np.abs(lhs) < rhs)), sign_match, float(np.min(rhs - np.abs(lhs)))
 
 
 def _supported_instance(seed, lam_scale=0.0, noise=0.0, n=150, p=6):
