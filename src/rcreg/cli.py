@@ -113,14 +113,7 @@ def _cmd_identify(args) -> int:
     supports = raw["supports"]
     if not isinstance(supports, list):
         raise RcregError(f"{args.spec}: 'supports' must be an array of arrays")
-    for j, pts in enumerate(supports):
-        if not isinstance(pts, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in pts
-        ):
-            raise RcregError(
-                f"{args.spec}: coordinate {j + 1} must be an array of numbers"
-            )
-    spec = SupportSpec(tuple(tuple(pts) for pts in supports))
+    spec = SupportSpec(tuple(supports))
     report = check_identified(spec, rank_tol=args.tol)
     payload = {
         "identified": report.identified,
@@ -191,7 +184,7 @@ def _parse_ranges(fh, start: int, path: str) -> list[np.ndarray]:
         cuts.append(fh.tell())
     cuts.append(size)
     jobs = [(path, a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-    return _run_jobs(_parse_range, jobs, len(jobs))
+    return _run_jobs(_parse_range, jobs)
 
 
 def _read_dataset_csv(path: str) -> Dataset:

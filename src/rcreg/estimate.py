@@ -74,10 +74,13 @@ __all__ = [
 PSD_TOL = 1e-9
 # Converged: Gram KKT residual <= KKT_TOL * max(1, max|X'y/n|) (module docstring).
 KKT_TOL = 1e-8
+# A certified witness agrees with the solver's solution on S within this bound.
+WITNESS_TOL = 1e-6
 # Most breakpoints one walk passes: a guard against a path that cycles.
 MAX_BREAKPOINTS = 100_000
 # Rows of the second-stage design formed at a time: 7.2 MB of floats at p=10.
 _BLOCK_ROWS = 16384
+_OVERFLOW = "the data are finite, but their cross products overflow; rescale the covariates"
 
 
 @dataclass(frozen=True)
@@ -194,9 +197,16 @@ def _gram(blocks):
         n = sum(rows)
         G, b = reduce(np.add, XX) / n, reduce(np.add, XY) / n
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(b))):
-        raise DomainError("the data are finite, but their cross products overflow; "
-                          "rescale the covariates")
+        raise DomainError(_OVERFLOW)
     return G, b, n
+
+
+def _vector(x, d: int, name: str, dtype=float) -> np.ndarray:
+    """``x`` as a flat ``dtype`` array; :class:`DimensionError` unless of length ``d``."""
+    x = np.asarray(x, dtype=dtype).reshape(-1)
+    if x.shape[0] != d:
+        raise DimensionError(f"{name} must have length {d}, got {x.shape[0]}")
+    return x
 
 
 def _unit_diagonal(G, error, what: str):
@@ -227,10 +237,7 @@ def build_second_stage(data: Dataset, mu_hat) -> SecondStageDesign:
 
 def _squared_residuals(data: Dataset, mu_hat) -> np.ndarray:
     """Squared first-stage residuals at ``mu_hat``, which must have length p."""
-    mu_hat = np.asarray(mu_hat, dtype=float).reshape(-1)
-    if mu_hat.shape[0] != data.p:
-        raise DimensionError(f"mu_hat must have length {data.p}, got {mu_hat.shape[0]}")
-    resid = data.Y - data.X @ mu_hat
+    resid = data.Y - data.X @ _vector(mu_hat, data.p, "mu_hat")
     return resid * resid
 
 
@@ -310,17 +317,9 @@ def _penalty(init, penalize_mask, d: int):
     ``scale`` is |init| where penalized and infinite where not; excluded
     coordinates (penalized, zero initial estimate) are fixed at zero.
     """
-    init = np.asarray(init, dtype=float).reshape(-1)
-    if init.shape[0] != d:
-        raise DimensionError(f"init must have length {d}, got {init.shape[0]}")
-    if penalize_mask is None:
-        penalized = np.ones(d, dtype=bool)
-    else:
-        penalized = np.asarray(penalize_mask, dtype=bool).reshape(-1)
-        if penalized.shape[0] != d:
-            raise DimensionError(
-                f"penalize_mask must have length {d}, got {penalized.shape[0]}"
-            )
+    init = _vector(init, d, "init")
+    penalized = (np.ones(d, dtype=bool) if penalize_mask is None
+                 else _vector(penalize_mask, d, "penalize_mask", bool))
     excluded = penalized & (init == 0.0)
     weighted = penalized & ~excluded
     scale = np.full(d, np.inf)
@@ -338,19 +337,20 @@ def _violations(grad, beta, thr, optimized):
 def kkt_residual(Y, X, beta, lam, init, penalize_mask=None) -> float:
     """Stationarity residual of ``beta`` at level ``lam``, recomputed from the raw data.
 
-    Independent of the solver's internal Gram bookkeeping; non-finite data or
-    ``beta`` are refused before any product.  A converged solution satisfies
-    ``kkt_residual <= KKT_TOL * max(1, max|X'Y/n|)`` up to round-off.
+    Independent of the solver's internal Gram bookkeeping; non-finite data or ``beta``
+    are refused before any product, overflowing ones after.  A converged solution
+    satisfies ``kkt_residual <= KKT_TOL * max(1, max|X'Y/n|)`` up to round-off.
     """
     (X, Y), = _data_blocks(Y, X)
-    beta = np.asarray(beta, dtype=float).reshape(-1)
-    if beta.shape[0] != X.shape[1]:
-        raise DimensionError(f"beta must have length {X.shape[1]}, got {beta.shape[0]}")
+    beta = _vector(beta, X.shape[1], "beta")
     if not np.isfinite(beta).all():
         raise DomainError("the KKT residual needs a finite beta")
     lam, = _levels([lam])
     scale, excluded = _penalty(init, penalize_mask, X.shape[1])
-    grad = (2.0 / X.shape[0]) * (X.T @ (X @ beta - Y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = (2.0 / X.shape[0]) * (X.T @ (X @ beta - Y))
+    if not np.all(np.isfinite(grad)):
+        raise DomainError(_OVERFLOW)
     return float(_violations(grad, beta, lam / scale, ~excluded).max(initial=0.0))
 
 
@@ -537,7 +537,7 @@ def lambda_path(Y, X, grid, init, penalize_mask=None) -> list[LassoSolution]:
     return _walk(*_walk_args(_gram(_data_blocks(Y, X)), init, penalize_mask), grid)
 
 
-def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> WitnessReport:
+def witness_check(X, Y, S, lam, init, beta_star=None) -> WitnessReport:
     """Certify exact support recovery of the weighted-l1 solution on S.
 
     The certificate is read from the Gram form ``(G, b)`` the solver walks.
@@ -549,7 +549,7 @@ def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> Wit
     for any ``t`` on S and noise ``eps = Y - X_S t``, ``t + G_SS^-1 (X_S' eps / n
     - w) = G_SS^-1 (b_S - w)``, so ``beta_star`` contributes only its signs.
     When the certificate holds, the solver walks the same ``(G, b)`` and must
-    agree with the closed form within ``agreement_tol``.
+    agree with the closed form within ``WITNESS_TOL``.
 
     Raises
     ------
@@ -559,11 +559,14 @@ def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> Wit
     """
     G, b, n = form = _gram(_data_blocks(Y, X))
     p = G.shape[0]
-    S = np.asarray(S, dtype=int).reshape(-1)
+    S = np.asarray(S).reshape(-1)
     if S.size > n:
         raise DimensionError(f"|S|={S.size} exceeds the sample size {n}")
+    if S.dtype.kind not in "biuf" or np.any(S != np.floor(S)) or np.unique(S).size < S.size:
+        raise DomainError(f"S must hold distinct whole column indices, got {S.tolist()}")
     if np.any((S < 0) | (S >= p)):
         raise DimensionError(f"S must index the {p} columns of X, got {S.tolist()}")
+    S = S.astype(int)
     lam, = _levels([lam])
     scale, excluded = _penalty(init, None, p)
     if np.any(excluded[S]):
@@ -571,11 +574,7 @@ def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> Wit
     Sc = np.setdiff1d(np.arange(p), S)
     root, scaled = _unit_diagonal(G[np.ix_(S, S)], SingularDesignError, "design restricted to S")
     if beta_star is not None:
-        beta_star = np.asarray(beta_star, dtype=float).reshape(-1)
-        if beta_star.shape[0] != p:
-            raise DimensionError(
-                f"beta_star must have length {p}, got {beta_star.shape[0]}"
-            )
+        beta_star = _vector(beta_star, p, "beta_star")
         if np.any(beta_star[Sc] != 0.0):
             raise DomainError("beta_star must be supported on S")
         if np.any(beta_star[S] == 0.0):
@@ -594,7 +593,7 @@ def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> Wit
     if condition1 and sign_match:
         solution = _walk(*_walk_args(form, init, None), [lam])[0]
         off_support_zero = bool(np.all(solution.beta[Sc] == 0.0))
-        agrees = bool(np.max(np.abs(solution.beta[S] - beta_tilde)) <= agreement_tol)
+        agrees = bool(np.max(np.abs(solution.beta[S] - beta_tilde), initial=0.0) <= WITNESS_TOL)
         if not (off_support_zero and agrees):
             raise WitnessContradictionError(
                 "certificate holds but the solver solution disagrees with the "
@@ -608,14 +607,14 @@ def witness_check(X, Y, S, lam, init, beta_star=None, agreement_tol=1e-6) -> Wit
     )
 
 
-def fit_moments(data: Dataset, lambda_sigma: float,
-                penalize_intercept_variance: bool = False) -> MomentFit:
+def fit_moments(data: Dataset, lambda_sigma: float) -> MomentFit:
     """Full two-stage pipeline: means by OLS, covariance entries by adaptive lasso.
 
     Raises :class:`ConvergenceError` if the solution at ``lambda_sigma`` has
-    not converged (see :class:`SecondStage`'s ``moment_fit``).
+    not converged (see :class:`SecondStage`'s ``moment_fit``).  The intercept
+    variance is unpenalized; ``SecondStage.from_data`` can penalize it.
     """
-    stage = SecondStage.from_data(data, penalize_intercept_variance)
+    stage = SecondStage.from_data(data)
     return stage.moment_fit(stage.path([lambda_sigma])[0])
 
 

@@ -132,20 +132,13 @@ def min_eigenvalue(M) -> float:
     return float(np.linalg.eigvalsh(M)[0])
 
 
-def check_tol(tol: float) -> None:
-    """Raise :class:`DomainError` unless ``tol`` is finite and positive."""
-    if not 0.0 < tol < np.inf:
-        raise DomainError(f"tol must be finite and positive, got {tol}")
-
-
-def numeric_rank(M, tol: float = 1e-10) -> int:
-    """Number of singular values exceeding ``tol`` times the largest one.
+def numeric_rank(M) -> int:
+    """Number of singular values exceeding 1e-10 times the largest one.
 
     The relative threshold makes the rank invariant under rescaling of M.
     """
-    check_tol(tol)
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
     svals = np.linalg.svd(M if M.ndim > 1 else M.reshape(1, -1), compute_uv=False)
-    return int(np.count_nonzero(svals > tol * svals[0])) if svals[0] else 0
+    return int(np.count_nonzero(svals > 1e-10 * svals[0])) if svals[0] else 0

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -24,7 +26,7 @@ from .errors import (
     InfeasibleError,
 )
 # numeric_rank is kept for perfbench/tracing.py, which wraps it.
-from .halfvec import check_tol, half_dim, min_eigenvalue, numeric_rank, v_transform_rows  # noqa: F401
+from .halfvec import half_dim, min_eigenvalue, numeric_rank, v_transform_rows  # noqa: F401
 
 __all__ = [
     "SupportSpec",
@@ -48,9 +50,10 @@ __all__ = [
 class SupportSpec:
     """Finite per-covariate support sets (intercept excluded).
 
-    ``supports[j]`` lists the distinct values covariate j+1 can take; the
-    sets are normalized to sorted tuples.  An empty ``supports`` describes
-    the intercept-only model.
+    ``supports[j]`` is a sequence of the distinct values covariate j+1 can take,
+    each a finite real number other than a bool; the sets are normalized to
+    sorted tuples of floats.  An empty ``supports`` describes the intercept-only
+    model.
     """
 
     supports: tuple[tuple[float, ...], ...]
@@ -58,11 +61,14 @@ class SupportSpec:
     def __post_init__(self):
         normalized = []
         for j, pts in enumerate(self.supports):
-            pts = tuple(sorted(float(v) for v in pts))
+            pts = tuple(pts) if np.iterable(pts) else ("not a sequence",)
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in pts):
+                raise DomainError(f"coordinate {j + 1} must be a sequence of numbers")
             if len(pts) == 0:
                 raise DomainError(f"coordinate {j + 1} has an empty support")
-            if not all(math.isfinite(v) for v in pts):
+            if not all(abs(v) <= sys.float_info.max for v in pts):  # False for NaN too
                 raise DomainError(f"coordinate {j + 1} has a non-finite support point")
+            pts = tuple(sorted(map(float, pts)))
             if len(set(pts)) != len(pts):
                 raise DomainError(f"coordinate {j + 1} has duplicated support points")
             normalized.append(pts)
@@ -213,6 +219,12 @@ def _witness(levels) -> tuple[tuple[float, ...], ...]:
             points.append(w := base.copy())
             w[j] = pts[2]
     return tuple(map(tuple, points))
+
+
+def check_tol(tol: float) -> None:
+    """Raise :class:`DomainError` unless ``tol`` is finite and positive."""
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
 
 
 def check_identified(spec: SupportSpec, *, rank_tol: float = 1e-10) -> IdentReport:

@@ -253,7 +253,7 @@ def _pilot_hits(args) -> np.ndarray:
     return _path_hits(stage, grid, target)
 
 
-def tune_lambda(cfg: SimConfig, workers: int | None = None) -> TuneResult:
+def tune_lambda(cfg: SimConfig) -> TuneResult:
     """Pick the penalty whose active-set size most often matches the truth.
 
     The grid is log-spaced over [1e-4 * lmax, lmax], with lmax computed on
@@ -271,7 +271,7 @@ def tune_lambda(cfg: SimConfig, workers: int | None = None) -> TuneResult:
         return TuneResult(lam=0.0, fallback=True, grid=np.zeros(1), hits=np.zeros(1, int))
     grid = np.geomspace(lmax, lmax * 1e-4, cfg.grid_size)
     jobs = [(cfg, i, grid, target) for i in range(1, cfg.pilot_replications)]
-    rows = [_path_hits(first, grid, target)] + _run_jobs(_pilot_hits, jobs, workers)
+    rows = [_path_hits(first, grid, target)] + _run_jobs(_pilot_hits, jobs)
     hits = np.sum(rows, axis=0)
     if hits.max() == 0:
         return TuneResult(
@@ -296,10 +296,10 @@ def _worker_count() -> int:
     return int(env) if env else (os.cpu_count() or 1)
 
 
-def _run_jobs(fn, jobs: list, workers: int | None) -> list:
-    """``[fn(job) for job in jobs]``, in order, on a pool of up to ``workers``
-    (``_worker_count()`` if None); with one worker, in this process."""
-    workers = max(1, min(int(_worker_count() if workers is None else workers), len(jobs)))
+def _run_jobs(fn, jobs: list) -> list:
+    """``[fn(job) for job in jobs]``, in order, on a pool of up to ``_worker_count()``
+    workers, one per job at most: the one place a pool is sized.  With one, in this process."""
+    workers = max(1, min(_worker_count(), len(jobs)))
     if workers == 1:
         return [fn(job) for job in jobs]
     chunk, module = max(1, len(jobs) // (4 * workers)), sys.modules[__name__]
@@ -319,23 +319,22 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def monte_carlo(cfg: SimConfig, workers: int | None = None) -> SimReport:
+def monte_carlo(cfg: SimConfig) -> SimReport:
     """Aggregate ``cfg.replications`` replications into a selection report.
 
-    ``workers`` defaults to the RCREG_THREADS environment variable, then the
-    CPU count, and applies to the tuning pilots too.  Results are
-    bit-identical for any worker count because each replication owns its
+    Replications and tuning pilots run on ``RCREG_THREADS`` worker processes,
+    else one per CPU.  Results are bit-identical for any worker count because each replication owns its
     RNG stream and aggregation follows replication order.  Failed
     replications are counted, not fatal.
     """
     fallback = False
     lam = cfg.lam
     if lam is None:
-        tuned = tune_lambda(cfg, workers)
+        tuned = tune_lambda(cfg)
         lam, fallback = tuned.lam, tuned.fallback
     rcfg = replace(cfg, lam=lam)
     jobs = [(rcfg, i) for i in range(cfg.replications)]
-    results = _run_jobs(_mc_worker, jobs, workers)
+    results = _run_jobs(_mc_worker, jobs)
     completed = [r for r in results if r is not None]
     failures = len(results) - len(completed)
     fp_hist: dict[int, int] = {}

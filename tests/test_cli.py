@@ -301,7 +301,7 @@ class TestByteRanges:
         path = _random_coefficient_csv(tmp_path, n=300, p=5)
         jobs, readers = [], []
         run, reader = cli._run_jobs, cli.csv.reader
-        monkeypatch.setattr(cli, "_run_jobs", lambda fn, js, w: jobs.append(js) or run(fn, js, w))
+        monkeypatch.setattr(cli, "_run_jobs", lambda fn, js: jobs.append(js) or run(fn, js))
         monkeypatch.setattr(cli.csv, "reader", lambda fh: readers.append(1) or reader(fh))
         one = _parse_in_ranges(monkeypatch, path, 1)
         split = _parse_in_ranges(monkeypatch, path, 3)

@@ -1,6 +1,7 @@
 """Two-stage pipeline: OLS, second-stage design, moment fits, sandwich pieces."""
 
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -185,17 +186,50 @@ class TestOls:
         with pytest.raises(DimensionError):
             call()
 
+    @pytest.mark.parametrize("S", [[0.7, 1.2], [0.0, np.nan], [0, 2, 0], [1.0, 1.0], ["a"]])
+    def test_bad_support_indices_are_domain_errors(self, S):
+        """Refused before any solve: no truncation to [0, 1], no "singular" for a repeat."""
+        X, Y = np.random.default_rng(6).normal(size=(30, 3)), np.ones(30)
+        with pytest.raises(DomainError, match=re.escape(f"distinct whole column indices, got {S}")):
+            witness_check(X, Y, S, 1.0, np.ones(3))
+
+    @pytest.mark.parametrize("lam, certified", [(1e6, True), (1e-6, False)])
+    def test_empty_support_certified_only_where_every_coordinate_is_zero(self, lam, certified):
+        X, Y = np.random.default_rng(6).normal(size=(30, 3)), np.ones(30)
+        rep = witness_check(X, Y, [], lam, np.ones(3))
+        assert rep.condition1 == certified and rep.beta_tilde.size == 0
+        assert (rep.solution is not None) == certified
+        assert not certified or not np.any(rep.solution.beta)
+
+    @pytest.mark.parametrize("name", ["init", "penalize_mask", "beta_star", "mu_hat", "beta"])
+    def test_wrong_lengths_are_named(self, name):
+        data = draw_dataset(30, seed=6)
+        X, Y, init = data.X, data.Y, np.ones(data.p)
+        call = {
+            "init": lambda: lambda_path(Y, X, [1.0], init[1:]),
+            "penalize_mask": lambda: adaptive_lasso(Y, X, 1.0, init, [True] * (data.p + 1)),
+            "beta_star": lambda: witness_check(X, Y, [0], 1.0, init, init[1:]),
+            "mu_hat": lambda: build_second_stage(data, np.zeros(data.p + 1)),
+            "beta": lambda: kkt_residual(Y, X, init[1:], 1.0, init),
+        }[name]
+        k = data.p + (1 if name in ("penalize_mask", "mu_hat") else -1)
+        with pytest.raises(DimensionError, match=f"^{name} must have length {data.p}, got {k}$"):
+            call()
+
     def test_rank_deficient_rejected(self):
         X = np.ones((10, 2))
         with pytest.raises(SingularDesignError):
             ols(np.arange(10.0), X)
 
     def test_overflowing_cross_products_named(self):
-        """Finite X whose Gram overflows: the error says so, with no numpy warning."""
+        """Finite X whose Gram (or, for the KKT residual, X beta) overflows: the error
+        says so, with no numpy warning."""
         X = np.ones((6, 2))
         X[:, 1] = np.arange(6) * 1e200
         for call in (lambda: ols(np.ones(6), X),
-                     lambda: witness_check(X, np.ones(6), [0, 1], 1.0, np.ones(2))):
+                     lambda: witness_check(X, np.ones(6), [0, 1], 1.0, np.ones(2)),
+                     lambda: kkt_residual(np.ones(3), np.ones((3, 1)) * 1e200, [1e200], 1.0,
+                                          np.ones(1))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DomainError, match="finite, but their cross products overflow"):
@@ -259,7 +293,7 @@ class TestSecondStage:
         for ours, theirs in zip(stage.path(grid), direct):
             assert np.array_equal(ours.beta, theirs.beta)
             assert ours.kkt_residual == theirs.kkt_residual
-        fit = fit_moments(data, grid[5], penalize)
+        fit = stage.moment_fit(stage.path([grid[5]])[0])
         solo = adaptive_lasso(stage.ysig, xsig, grid[5], stage.init, stage.penalize_mask)
         assert np.array_equal(fit.solution.beta, solo.beta)
 

@@ -204,10 +204,18 @@ class TestCheckIdentified:
         with pytest.raises(DomainError, match="tol must be finite and positive"):
             check_identified(SupportSpec(supports), rank_tol=tol)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
     def test_non_finite_support_point_names_the_coordinate(self, bad):
-        with pytest.raises(DomainError, match="coordinate 2"):
+        with pytest.raises(DomainError, match="coordinate 2 has a non-finite support point"):
             SupportSpec(((0.0, 1.0, 2.0), (0.0, bad, 2.0)))
+
+    @pytest.mark.parametrize("bad", [(True, 0.0, 2.0), (0.0, "1", 2.0), 1.0, None,
+                                     ((0.0,), 1.0, 2.0), (0.0, np.bool_(True), 2.0)])
+    def test_coordinate_of_non_numbers_named(self, bad):
+        """A bool is not read as 0 or 1, nor a string as its number; a coordinate
+        that is not a sequence is no bare ``TypeError``."""
+        with pytest.raises(DomainError, match="coordinate 2 must be a sequence of numbers"):
+            SupportSpec(((0.0, 1.0, 2.0), bad))
 
     def test_report_consistency(self):
         rep = check_identified(SupportSpec(((0.0, 1.0), (0.0, 1.0, 2.0))))

@@ -24,7 +24,7 @@ from rcreg import (
     half_dim,
     partial_id_bounds,
 )
-from rcreg.halfvec import check_tol
+from rcreg.identify import check_tol
 
 
 def exact_rank(rows) -> int:

@@ -400,7 +400,8 @@ class TestRankTestPlacement:
     def test_tuning_and_fits_test_only_their_stages(self, monkeypatch):
         calls = _counting_rank_tests(monkeypatch)
         cfg = SimConfig(n=2000, p=6, seed=7, pilot_replications=3, grid_size=10)
-        tune_lambda(cfg, workers=1)
+        monkeypatch.setenv("RCREG_THREADS", "1")
+        tune_lambda(cfg)
         assert calls == [(6, 6), (21, 21)] * 3
         calls.clear()
         fit_moments(dgp_sample(cfg, 0), 1.0)

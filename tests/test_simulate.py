@@ -165,9 +165,11 @@ class TestTuneLambda:
 
         monkeypatch.setattr(simulate, "dgp_sample", counted)
         cfg = SimConfig(n=1500, p=5, seed=13, pilot_replications=3, grid_size=8)
-        serial = tune_lambda(cfg, workers=1)
+        monkeypatch.setenv("RCREG_THREADS", "1")
+        serial = tune_lambda(cfg)
         assert sorted(calls) == [(simulate._STREAM_PILOT, i) for i in range(3)]
-        assert np.array_equal(serial.hits, tune_lambda(cfg, workers=2).hits)
+        monkeypatch.setenv("RCREG_THREADS", "2")
+        assert np.array_equal(serial.hits, tune_lambda(cfg).hits)
 
     def test_nonconverged_levels_are_not_hits(self, monkeypatch):
         # The walk stops after 7 breakpoints; later levels get the last breakpoint's solution.
@@ -207,31 +209,34 @@ class TestMonteCarlo:
         assert report.fp_histogram == {only.fp: 1}
         assert report.fn_histogram == {only.fn: 1}
 
-    def test_identical_seeds_identical_reports(self):
+    def test_identical_seeds_identical_reports(self, monkeypatch):
         cfg = SimConfig(n=800, p=5, seed=16, lam=10.0, replications=6)
-        a = monte_carlo(cfg, workers=1)
-        b = monte_carlo(cfg, workers=2)
+        monkeypatch.setenv("RCREG_THREADS", "1")
+        a = monte_carlo(cfg)
+        monkeypatch.setenv("RCREG_THREADS", "2")
+        b = monte_carlo(cfg)
         assert a == b
 
-    def test_replication_failures_counted_not_fatal(self):
+    def test_replication_failures_counted_not_fatal(self, monkeypatch):
         # n below p(p+1)/2 makes every second-stage fit rank deficient
         cfg = SimConfig(n=12, p=5, seed=19, lam=1.0, replications=4)
-        report = monte_carlo(cfg, workers=1)
+        monkeypatch.setenv("RCREG_THREADS", "1")
+        report = monte_carlo(cfg)
         assert report.failures == 4
         assert report.per_rep == [] and report.sign_recovery_rate == 0.0
 
     def test_single_worker_tunes_without_a_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
-            raise AssertionError("workers=1 must not start a process pool")
+            raise AssertionError("RCREG_THREADS=1 must not start a process pool")
 
-        monkeypatch.delenv("RCREG_THREADS", raising=False)
+        monkeypatch.setenv("RCREG_THREADS", "1")
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
         cfg = SimConfig(
             n=800, p=5, seed=18, lam=None, replications=2, pilot_replications=3,
             grid_size=8,
         )
-        report = monte_carlo(cfg, workers=1)
+        report = monte_carlo(cfg)
         assert report.replications == 2 and report.lambda_used > 0.0
 
     def test_serial_run_imports_no_pool_machinery(self, tmp_path):
@@ -255,7 +260,7 @@ class TestMonteCarlo:
     def test_bad_thread_variable_rejected(self, monkeypatch, value):
         monkeypatch.setenv("RCREG_THREADS", value)
         with pytest.raises(DomainError, match="RCREG_THREADS"):
-            simulate._run_jobs(abs, [-1, -2], None)
+            simulate._run_jobs(abs, [-1, -2])
 
     @pytest.mark.parametrize("value", ["", "  ", " 3 "])
     def test_thread_variable_or_cpu_count_sizes_the_pool(self, monkeypatch, value):
@@ -277,20 +282,22 @@ class TestMonteCarlo:
         monkeypatch.setenv("RCREG_THREADS", value)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
-        assert simulate._run_jobs(abs, [-1, -2, -3, -4], None) == [1, 2, 3, 4]
+        assert simulate._run_jobs(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]
         assert sizes == [3 if value.strip() else 2]
 
     def test_nonconverged_replications_counted_as_failures(self, monkeypatch):
         monkeypatch.setattr(estimate, "MAX_BREAKPOINTS", 1)
         cfg = SimConfig(n=600, p=5, seed=20, lam=0.0, replications=3)
-        report = monte_carlo(cfg, workers=1)
+        monkeypatch.setenv("RCREG_THREADS", "1")
+        report = monte_carlo(cfg)
         assert report.failures == 3 and report.per_rep == []
 
-    def test_failures_do_not_depend_on_units(self):
+    def test_failures_do_not_depend_on_units(self, monkeypatch):
         cfg = SimConfig(n=5000, p=6, seed=3, replications=4, pilot_replications=4,
                         mu1=1e3 * np.array(DEFAULT_MU1), b4=1e3 * DEFAULT_B4,
                         sigma1=1e6 * np.array(DEFAULT_SIGMA1))
-        assert monte_carlo(cfg, workers=1).failures == 0
+        monkeypatch.setenv("RCREG_THREADS", "1")
+        assert monte_carlo(cfg).failures == 0
 
     def test_histogram_mass_and_rate_definition(self):
         cfg = SimConfig(n=1500, p=5, seed=17, lam=12.0, replications=12)
