@@ -39,12 +39,9 @@ from .identify import (
     SupportSpec,
     VarianceBounds,
     assemble_covariance,
-    binary_variance_interval,
     build_design_S,
-    cartesian_identifying_points,
     check_identified,
     classify_randomness,
-    correlation_for_variance,
     mixed_moments_single_regressor,
     partial_id_bounds,
 )
@@ -53,7 +50,7 @@ _ESTIMATE = (
     "Dataset", "LassoSolution", "MomentFit", "SandwichEstimate", "SecondStage",
     "SecondStageDesign", "WitnessReport", "adaptive_lasso",
     "build_second_stage", "fit_moments", "kkt_residual", "lambda_max",
-    "lambda_path", "ols", "sandwich", "select_means", "witness_check",
+    "lambda_path", "ols", "sandwich", "witness_check",
 )
 _SIMULATE = (
     "DEFAULT_B4", "DEFAULT_MU1", "DEFAULT_SIGMA1", "CovariateLaw", "RepResult",

@@ -67,7 +67,6 @@ __all__ = [
     "lambda_path",
     "witness_check",
     "fit_moments",
-    "select_means",
     "sandwich",
 ]
 
@@ -616,18 +615,6 @@ def fit_moments(data: Dataset, lambda_sigma: float) -> MomentFit:
     """
     stage = SecondStage.from_data(data)
     return stage.moment_fit(stage.path([lambda_sigma])[0])
-
-
-def select_means(data: Dataset, lambda_mu: float) -> LassoSolution:
-    """Adaptive-lasso selection of the coefficient means (intercept unpenalized).
-
-    The initial estimate is OLS, solved from the same cross products as the lasso.
-    """
-    rows = _data_blocks(data.Y, data.X)
-    G, b, n = _gram(rows)
-    mask = np.ones(data.p, dtype=bool)
-    mask[0] = False
-    return _walk(G, b, _ols(G, b, n, rows), mask, [lambda_mu])[0]
 
 
 def sandwich(data: Dataset, fit: MomentFit) -> SandwichEstimate:

@@ -35,10 +35,7 @@ __all__ = [
     "VarianceBounds",
     "Classification",
     "build_design_S",
-    "cartesian_identifying_points",
     "check_identified",
-    "binary_variance_interval",
-    "correlation_for_variance",
     "mixed_moments_single_regressor",
     "assemble_covariance",
     "partial_id_bounds",
@@ -87,8 +84,11 @@ class IdentReport:
     ``identified`` holds exactly when ``achieved_rank == full_dim``, that is
     when ``deficient_coordinates`` (1-based covariate indices keeping fewer
     than three levels, see :func:`check_identified`) is empty.  ``witness_points``
-    is the witness of :func:`cartesian_identifying_points`, in the spec's units:
-    one point per rank the whole product reaches, ``achieved_rank`` in all.
+    lie in the product of the supports, in the spec's units, and their design
+    (:func:`build_design_S`) has the rank of the whole support: one point per
+    rank, ``achieved_rank`` in all, so p(p+1)/2 exactly when every coordinate
+    keeps three levels.  They are built from the levels each coordinate keeps
+    (see ``_witness``).
     """
 
     full_dim: int
@@ -106,11 +106,7 @@ class Classification(str, Enum):
 
 @dataclass(frozen=True)
 class VarianceBounds:
-    """Sharp lower/upper bounds on a coefficient's dispersion.
-
-    :func:`binary_variance_interval` bounds the standard deviation;
-    :func:`partial_id_bounds` bounds the variance itself.
-    """
+    """Sharp lower/upper bounds on a coefficient's variance (:func:`partial_id_bounds`)."""
 
     lower: float
     upper: float
@@ -188,21 +184,14 @@ def build_design_S(points) -> np.ndarray:
     return v_transform_rows(X)
 
 
-def cartesian_identifying_points(spec: SupportSpec) -> list[tuple[float, ...]]:
-    """Support points whose design matrix has the rank of the whole support.
-
-    From the levels a_j < b_j < c_j each coordinate keeps (:func:`check_identified`),
-    enumerates one point per coordinate at its second level, the base point (all
-    first levels), one point per coordinate pair at their second levels, and one
-    point per coordinate at its third level, skipping every point that needs a
-    level its coordinate lacks.  All points lie in the product of the supports;
-    there are p(p+1)/2 of them exactly when every coordinate keeps three levels.
-    """
-    return list(check_identified(spec).witness_points)
-
-
 def _witness(levels) -> tuple[tuple[float, ...], ...]:
-    """:func:`cartesian_identifying_points` over sorted per-coordinate ``levels``."""
+    """Witness points over the sorted levels a_j < b_j < c_j each coordinate keeps.
+
+    One point per coordinate at its second level, the base point (all first
+    levels), one point per coordinate pair at their second levels, and one
+    point per coordinate at its third level, skipping every point that needs a
+    level its coordinate lacks.
+    """
     two = [(j, pts) for j, pts in enumerate(levels) if len(pts) >= 2]
     base = [pts[0] for pts in levels]
     points = []
@@ -235,7 +224,7 @@ def check_identified(spec: SupportSpec, *, rank_tol: float = 1e-10) -> IdentRepo
     kept, at most three; closer levels count as one.  On a product grid the
     monomials w^a with |a| <= 2 and a_j < |S_j| span the quadratic forms
     (tensor-product interpolation), so the design over the product of the kept
-    levels, and over its witness :func:`cartesian_identifying_points`, has rank
+    levels, and over its ``witness_points`` (:class:`IdentReport`), has rank
     1 + m2 + m3 + m2(m2-1)/2, with m2 (m3) the coordinates keeping at least two
     (three) levels.  No matrix is formed, and units do not sway the count.
 
@@ -260,42 +249,6 @@ def check_identified(spec: SupportSpec, *, rank_tol: float = 1e-10) -> IdentRepo
     return IdentReport(full_dim, rank, rank == full_dim, _witness(kept), deficient)
 
 
-def binary_variance_interval(s1: float, s2: float) -> VarianceBounds:
-    """Bounds on the standard deviation of B1 when its regressor is binary.
-
-    ``s1`` and ``s2`` are the identified standard deviations of B0 and of
-    B0 + B1; every value in [|s1 - s2|, s1 + s2] is attainable.
-    """
-    s1, s2 = float(s1), float(s2)
-    if s1 < 0 or s2 < 0:
-        raise DomainError(f"standard deviations must be nonnegative, got ({s1}, {s2})")
-    lower, upper = abs(s1 - s2), s1 + s2
-    cls = Classification.FORCED_ZERO if upper == 0.0 else Classification.INTERVAL
-    return VarianceBounds(lower=lower, upper=upper, classification=cls)
-
-
-def correlation_for_variance(s1: float, s2: float, u: float) -> float:
-    """Correlation of (B0, B1) that realizes standard deviation ``u`` for B1.
-
-    Valid for ``u`` inside the admissible interval of
-    :func:`binary_variance_interval`; the result always lies in [-1, 1].
-    """
-    s1, s2, u = float(s1), float(s2), float(u)
-    if s1 <= 0:
-        raise DomainError(f"s1 must be positive, got {s1}")
-    if s2 < 0:
-        raise DomainError(f"s2 must be nonnegative, got {s2}")
-    if u <= 0:
-        raise DomainError(f"u must be positive, got {u}")
-    slack = 1e-12 * max(1.0, s1 + s2)
-    if u < abs(s1 - s2) - slack or u > s1 + s2 + slack:
-        raise DomainError(
-            f"u={u} outside the admissible interval [{abs(s1 - s2)}, {s1 + s2}]"
-        )
-    rho = (s2 * s2 - s1 * s1 - u * u) / (2.0 * s1 * u)
-    return float(min(1.0, max(-1.0, rho)))
-
-
 def mixed_moments_single_regressor(support, cond_moments, order: int) -> np.ndarray:
     """Mixed coefficient moments of one order from conditional response moments.
 
@@ -303,27 +256,35 @@ def mixed_moments_single_regressor(support, cond_moments, order: int) -> np.ndar
     E[Y^n | W = w] equals sum_k C(n, k) w^k E[B0^(n-k) B1^k].  Given the
     values of that moment at ``order + 1`` distinct support points, the
     binomial-weighted Vandermonde system is solved for the vector
-    (E[B0^n], E[B0^(n-1) B1], ..., E[B1^n]).
+    (E[B0^n], E[B0^(n-1) B1], ..., E[B1^n]).  Raises :class:`DomainError`
+    for a non-finite entry or an ``order`` that is not a nonnegative whole number.
     """
+    whole = isinstance(order, numbers.Integral) or (
+        isinstance(order, numbers.Real) and float(order).is_integer()
+    )
+    if isinstance(order, bool) or not whole or order < 0:
+        raise DomainError(f"order must be a nonnegative whole number, got {order!r}")
     w = np.asarray(support, dtype=float).reshape(-1)
     c = np.asarray(cond_moments, dtype=float).reshape(-1)
     n = int(order)
-    if n < 0:
-        raise DomainError(f"order must be nonnegative, got {n}")
     if w.shape[0] != n + 1 or c.shape[0] != n + 1:
         raise DimensionError(
             f"need {n + 1} support points and conditional moments, "
             f"got {w.shape[0]} and {c.shape[0]}"
         )
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(c))):
+        raise DomainError("support points and conditional moments must be finite")
     if len(set(w.tolist())) != w.shape[0]:
         raise DomainError("duplicated support points make the system singular")
-    V = np.array([[math.comb(n, k) * w_j**k for k in range(n + 1)] for w_j in w])
-    m = np.linalg.solve(V, c)
-    resid = float(np.linalg.norm(V @ m - c))
-    if resid > 1e-8 * max(1.0, float(np.linalg.norm(c))):
+    with np.errstate(all="ignore"):  # an overflow leaves a non-finite m or residual
+        V = np.array([[math.comb(n, k) * w_j**k for k in range(n + 1)] for w_j in w])
+        m = np.linalg.solve(V, c)
+        resid = float(np.linalg.norm(V @ m - c))
+        bound = 1e-8 * max(1.0, float(np.linalg.norm(c)))
+    if not (resid <= bound and np.all(np.isfinite(m))):  # False for NaN too
         raise DomainError(
-            f"support points too close to resolve order-{n} moments "
-            f"(relative residual {resid:.3e})"
+            f"support points too close or too large to resolve order-{n} moments "
+            f"(residual {resid:.3e})"
         )
     return m
 
@@ -333,8 +294,12 @@ def assemble_covariance(blocks: PartialIdBlocks, s: float) -> np.ndarray:
 
     Var(B0 + B1) pins Cov(B0, B1) = (var_b0_plus_b1 - Var(B0) - s) / 2, so
     the matrix is affine in s; it is a valid completion exactly when it is
-    positive semidefinite.
+    positive semidefinite.  Raises :class:`DomainError` unless ``s`` is finite
+    and nonnegative.
     """
+    finite = isinstance(s, numbers.Real) and 0.0 <= s <= sys.float_info.max  # False for NaN
+    if isinstance(s, bool) or not finite:
+        raise DomainError(f"s must be a finite nonnegative number, got {s!r}")
     p = blocks.p
     v0 = blocks.cov_b0_b2[0, 0]
     M = np.zeros((p, p))

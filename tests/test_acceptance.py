@@ -23,7 +23,6 @@ from rcreg import (
     SupportSpec,
     adaptive_lasso,
     build_design_S,
-    cartesian_identifying_points,
     check_identified,
     fit_moments,
     half_dim,
@@ -91,7 +90,7 @@ def test_criterion_2_identification_ranks():
     with Criterion(2, "witness sets reach full rank; binary coordinates never do", 5.0):
         for p in range(2, 9):
             spec = SupportSpec(((-1.0, 0.0, 1.0),) * (p - 1))
-            S = build_design_S(cartesian_identifying_points(spec))
+            S = build_design_S(check_identified(spec).witness_points)
             svals = np.linalg.svd(S, compute_uv=False)
             full = half_dim(p)
             assert S.shape == (full, full)

@@ -39,7 +39,6 @@ from rcreg import (
     min_eigenvalue,
     ols,
     sandwich,
-    select_means,
     unvec_half,
     v_transform,
     vec_half,
@@ -433,29 +432,25 @@ class TestFitMoments:
             fit_moments(data, 1.0)  # n = 8 < p(p+1)/2 = 10
 
 
+def _select_means(data, lam):
+    """Adaptive-lasso selection of the means from an OLS start, intercept unpenalized."""
+    return adaptive_lasso(data.Y, data.X, lam, ols(data.Y, data.X), np.arange(data.p) > 0)
+
+
 class TestSelectMeans:
     def test_noiseless_support_recovery(self):
         rng = np.random.default_rng(11)
         n, p = 200, 6
         X = np.concatenate([np.ones((n, 1)), rng.normal(size=(n, p - 1))], axis=1)
         mu = np.array([4.0, 0.0, -3.0, 0.0, 2.0, 0.0])
-        sol = select_means(Dataset(X=X, Y=X @ mu), 1e-4)
+        sol = _select_means(Dataset(X=X, Y=X @ mu), 1e-4)
         assert np.array_equal(sol.active_set, np.flatnonzero(mu))
         assert np.max(np.abs(sol.beta - mu)) <= 1e-4
 
     def test_zero_lambda_is_ols(self):
         data = draw_dataset(500, seed=12)
-        sol = select_means(data, 0.0)
+        sol = _select_means(data, 0.0)
         assert np.max(np.abs(sol.beta - ols(data.Y, data.X))) <= 1e-7
-
-    def test_one_gram_serves_init_and_lasso(self, monkeypatch):
-        data = draw_dataset(500, seed=12)
-        mask = np.arange(data.p) > 0
-        apart = adaptive_lasso(data.Y, data.X, 0.2, ols(data.Y, data.X), mask)
-        shapes = _counting_grams(monkeypatch)
-        sol = select_means(data, 0.2)
-        assert shapes == [(data.p, data.p)]
-        assert np.array_equal(sol.beta, apart.beta) and sol.kkt_residual == apart.kkt_residual
 
     def test_study_scale_support_recovery(self):
         """Means (40, 15, 0, -10, 20, 0, ...) at p=10, n=5000: support found."""
@@ -467,7 +462,7 @@ class TestSelectMeans:
         hits = 0
         for i in range(200):
             data = draw_dataset(5000, seed=1_000 + i, mu=mu10, cov=cov10, n_covariates=9)
-            sol = select_means(data, 0.2)
+            sol = _select_means(data, 0.2)
             hits += np.array_equal(sol.active_set, support)
         assert hits >= 190  # 95% of 200
 

@@ -16,15 +16,16 @@ from rcreg import (
     Classification,
     DimensionError,
     DomainError,
+    PartialIdBlocks,
     SupportSpec,
-    binary_variance_interval,
+    assemble_covariance,
     build_design_S,
-    cartesian_identifying_points,
     check_identified,
-    correlation_for_variance,
     half_dim,
+    min_eigenvalue,
     mixed_moments_single_regressor,
     numeric_rank,
+    partial_id_bounds,
 )
 
 
@@ -62,7 +63,7 @@ class TestCartesianPoints:
     )
     def test_full_rank(self, supports, p):
         spec = SupportSpec(tuple(tuple(s) for s in supports))
-        pts = cartesian_identifying_points(spec)
+        pts = check_identified(spec).witness_points
         assert len(pts) == half_dim(p)
         assert len({tuple(w) for w in pts}) == len(pts)
         prod = set(itertools.product(*spec.supports))
@@ -71,15 +72,14 @@ class TestCartesianPoints:
 
     def test_deficient_support_returns_rank_many_witness(self):
         spec = SupportSpec(((0.0, 1.0, 2.0), (0.0, 1.0), (3.0, 4.0)))
-        pts = [tuple(w) for w in cartesian_identifying_points(spec)]
-        assert pts == [
+        rep = check_identified(spec)
+        pts = rep.witness_points
+        assert pts == (
             (1.0, 0.0, 3.0), (0.0, 1.0, 3.0), (0.0, 0.0, 4.0),  # second levels
             (0.0, 0.0, 3.0),  # base
             (1.0, 1.0, 3.0), (1.0, 0.0, 4.0), (0.0, 1.0, 4.0),  # pairs
             (2.0, 0.0, 3.0),  # third level, coordinate 1 only
-        ]
-        rep = check_identified(spec)
-        assert rep.witness_points == tuple(pts)
+        )
         assert rep.achieved_rank == len(pts) == 8 < rep.full_dim == 10
         assert rep.deficient_coordinates == (2, 3)
 
@@ -95,7 +95,7 @@ class TestCartesianPoints:
             for _ in range(q)
         )
         spec = SupportSpec(supports)
-        S = build_design_S(cartesian_identifying_points(spec))
+        S = build_design_S(check_identified(spec).witness_points)
         assert numeric_rank(S) == half_dim(q + 1)
 
 
@@ -243,43 +243,55 @@ class TestCheckIdentified:
         assert not rep.identified
 
 
+def _binary_blocks(s1, s2):
+    """p=2 blocks: B0 with standard deviation s1, B0 + B1 with standard deviation s2."""
+    return PartialIdBlocks([[s1 * s1]], [], s2 * s2)
+
+
+def _correlation(s1, s2, u):
+    """Correlation of (B0, B1) in the completion where B1 has standard deviation u."""
+    M = assemble_covariance(_binary_blocks(s1, s2), u * u)
+    return M[0, 1] / np.sqrt(M[0, 0] * M[1, 1])
+
+
 class TestBinaryInterval:
+    """Var(B1) lies in [(s1 - s2)^2, (s1 + s2)^2] when the regressor is binary."""
+
     def test_examples(self):
-        b = binary_variance_interval(3.0, 5.0)
-        assert (b.lower, b.upper) == (2.0, 8.0)
+        b = partial_id_bounds(_binary_blocks(3.0, 5.0))
+        assert (b.lower, b.upper) == (4.0, 64.0)
+        assert b.classification is Classification.FORCED_POSITIVE
+        b = partial_id_bounds(_binary_blocks(1.0, 1.0))
+        assert (b.lower, b.upper) == (0.0, 4.0)
         assert b.classification is Classification.INTERVAL
-        b = binary_variance_interval(1.0, 1.0)
-        assert (b.lower, b.upper) == (0.0, 2.0)
-        b = binary_variance_interval(0.0, 0.0)
+        b = partial_id_bounds(_binary_blocks(0.0, 0.0))
         assert (b.lower, b.upper) == (0.0, 0.0)
         assert b.classification is Classification.FORCED_ZERO
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
-            binary_variance_interval(-1.0, 2.0)
+            PartialIdBlocks([[-1.0]], [], 4.0)
 
 
 class TestCorrelationForVariance:
     def test_interval_boundaries(self):
-        assert correlation_for_variance(1.0, 2.0, 1.0) == pytest.approx(1.0)
-        assert correlation_for_variance(1.0, 2.0, 3.0) == pytest.approx(-1.0)
+        assert _correlation(1.0, 2.0, 1.0) == pytest.approx(1.0)
+        assert _correlation(1.0, 2.0, 3.0) == pytest.approx(-1.0)
 
     def test_max_correlation_when_s1_dominates(self):
         s1, s2 = 2.0, 1.0
         u_star = np.sqrt(s1**2 - s2**2)
-        rho_star = correlation_for_variance(s1, s2, u_star)
+        rho_star = _correlation(s1, s2, u_star)
         assert rho_star == pytest.approx(-np.sqrt(3) / 2, abs=1e-12)
         # numeric maximization over admissible u confirms this is the peak
         grid = np.linspace(s1 - s2 + 1e-9, s1 + s2, 20001)
-        rhos = [correlation_for_variance(s1, s2, u) for u in grid]
+        rhos = [_correlation(s1, s2, u) for u in grid]
         assert max(rhos) <= rho_star + 1e-6
         assert rho_star <= -np.sqrt(s1**2 - s2**2) / s1 + 1e-12
 
-    def test_outside_interval_rejected(self):
-        with pytest.raises(DomainError):
-            correlation_for_variance(1.0, 2.0, 0.5)
-        with pytest.raises(DomainError):
-            correlation_for_variance(1.0, 2.0, 3.5)
+    def test_outside_interval_not_psd(self):
+        for u in (0.5, 3.5):
+            assert min_eigenvalue(assemble_covariance(_binary_blocks(1.0, 2.0), u * u)) < 0.0
 
     @given(
         st.floats(min_value=0.1, max_value=5.0),
@@ -290,12 +302,21 @@ class TestCorrelationForVariance:
     def test_always_in_unit_interval(self, s1, s2, frac):
         lo, hi = abs(s1 - s2), s1 + s2
         u = lo + frac * (hi - lo)
-        if u <= 0:
+        M = assemble_covariance(_binary_blocks(s1, s2), u * u)
+        scale = np.max(np.abs(M))
+        assert min_eigenvalue(M) >= -1e-14 * scale
+        # |rho| <= 1 up to rounding of M's entries
+        assert abs(M[0, 1]) <= np.sqrt(M[0, 0] * M[1, 1]) + 1e-14 * scale
+        if M[1, 1] == 0.0:  # B1 degenerate: no correlation
             return
-        rho = correlation_for_variance(s1, s2, u)
-        assert -1.0 <= rho <= 1.0
+        rho = _correlation(s1, s2, u)
         if s1 >= s2:
             assert rho <= -np.sqrt(s1**2 - s2**2) / s1 + 1e-12
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf, -1.0, 10**400, True, "1", [1.0]])
+    def test_non_finite_or_negative_variance_refused(self, s):
+        with pytest.raises(DomainError, match="s must be a finite nonnegative number"):
+            assemble_covariance(_binary_blocks(1.0, 2.0), s)
 
 
 def _brute_force_mixed_moments(atoms, probs, order):
@@ -339,6 +360,32 @@ class TestMixedMoments:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             mixed_moments_single_regressor([0.0, 1.0], [1.0, 2.0, 3.0], 1)
+
+    @pytest.mark.parametrize(
+        "support, cond, match",
+        [
+            ([0.0, np.nan], [1.0, 3.0], "must be finite"),
+            ([-np.inf, 1.0], [1.0, 3.0], "must be finite"),
+            ([0.0, 1.0], [np.nan, 3.0], "must be finite"),
+            ([0.0, 1.0], [1.0, np.inf], "must be finite"),
+            ([0.0, 1e200, 2e200], [1.0, 2.0, 3.0], "too close or too large"),
+            ([0.0, 1.0], [1e308, -1e308], "too close or too large"),
+        ],
+    )
+    def test_non_finite_or_overflowing_entries_refused(self, support, cond, match):
+        with pytest.raises(DomainError, match=match):
+            mixed_moments_single_regressor(support, cond, len(support) - 1)
+
+    @pytest.mark.parametrize("order", [2.7, True, np.True_, -1, np.nan, np.inf, "2"])
+    def test_order_must_be_a_nonnegative_whole_number(self, order):
+        with pytest.raises(DomainError, match="order must be a nonnegative whole number"):
+            mixed_moments_single_regressor([-1.0, 0.0, 1.0], [0.0, 1.0, 4.0], order)
+
+    def test_whole_float_and_numpy_orders_accepted(self):
+        want = mixed_moments_single_regressor([-1.0, 0.0, 1.0], [0.0, 1.0, 4.0], 2)
+        for order in (2.0, np.int64(2), np.float64(2.0)):
+            got = mixed_moments_single_regressor([-1.0, 0.0, 1.0], [0.0, 1.0, 4.0], order)
+            assert np.array_equal(got, want)
 
     @given(
         st.integers(min_value=1, max_value=3),
