@@ -28,7 +28,6 @@ from .halfvec import (
     min_eigenvalue,
     numeric_rank,
     unvec_half,
-    v_transform,
     v_transform_rows,
     vec_half,
 )
@@ -39,7 +38,6 @@ from .identify import (
     SupportSpec,
     VarianceBounds,
     assemble_covariance,
-    build_design_S,
     check_identified,
     classify_randomness,
     mixed_moments_single_regressor,

@@ -35,7 +35,7 @@ from .estimate import (  # noqa: F401
 )
 from .halfvec import half_dim
 from .identify import PartialIdBlocks, SupportSpec, check_identified, partial_id_bounds
-from .simulate import SimConfig, _run_jobs, _worker_count, monte_carlo
+from .simulate import SimConfig, _run_jobs, monte_carlo
 
 __all__ = ["main", "dump_json"]
 
@@ -176,7 +176,7 @@ def _parse_ranges(fh, start: int, path: str) -> list[np.ndarray]:
     parsed on the worker pool."""
     size = os.fstat(fh.fileno()).st_size
     body = size - start
-    k = min(_worker_count(), body // _RANGE_BYTES)
+    k = max(1, body // _RANGE_BYTES)
     cuts = [start]
     for i in range(1, k):
         fh.seek(max(cuts[-1], start + body * i // k))

@@ -48,6 +48,7 @@ from .errors import (
     SingularDesignError,
     SingularGramError,
     WitnessContradictionError,
+    number_array,
 )
 from .halfvec import half_dim, min_eigenvalue, numeric_rank, unvec_half, v_transform_rows
 
@@ -102,7 +103,7 @@ class Dataset:
     @classmethod
     def from_covariates(cls, W, Y) -> "Dataset":
         """Build a dataset from raw covariates, prepending the intercept column."""
-        W = np.asarray(W, dtype=float)
+        W = number_array(W, "least squares needs finite X and Y")
         if W.ndim != 2:
             raise DimensionError(f"W must be 2-D, got shape {W.shape}")
         X = np.concatenate([np.ones((W.shape[0], 1)), W], axis=1)
@@ -178,11 +179,10 @@ def ols(Y, X) -> np.ndarray:
 
 
 def _data_blocks(Y, X, use: str = "the lasso solver"):
-    """A caller's ``(Y, X)`` as one row block ``[(X, Y)]`` of float arrays, refused before
-    any product unless all finite, then unless X is 2-D with as many rows as Y, at least one."""
-    Y, X = np.asarray(Y, dtype=float).reshape(-1), np.asarray(X, dtype=float)
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise DomainError("least squares needs finite X and Y")
+    """A caller's ``(Y, X)`` as one row block ``[(X, Y)]`` of float arrays, refused before any
+    product unless arrays of numbers, then unless X is 2-D with as many rows as Y, at least one."""
+    X, Y = (number_array(x, "least squares needs finite X and Y") for x in (X, Y))
+    Y = Y.reshape(-1)
     if X.ndim != 2 or X.shape[0] != Y.shape[0] or X.shape[0] == 0:
         raise DimensionError(f"incompatible shapes X {X.shape}, Y {Y.shape} for {use}")
     return [(X, Y)]
@@ -201,8 +201,10 @@ def _gram(blocks):
 
 
 def _vector(x, d: int, name: str, dtype=float) -> np.ndarray:
-    """``x`` as a flat ``dtype`` array; :class:`DimensionError` unless of length ``d``."""
-    x = np.asarray(x, dtype=dtype).reshape(-1)
+    """``x`` as a flat ``dtype`` array, a float one refused unless an array of numbers;
+    :class:`DimensionError` unless of length ``d``."""
+    x = (number_array(x, f"estimation needs a finite {name}") if dtype is float
+         else np.asarray(x, dtype=dtype)).reshape(-1)
     if x.shape[0] != d:
         raise DimensionError(f"{name} must have length {d}, got {x.shape[0]}")
     return x
@@ -303,8 +305,8 @@ class SecondStage:
 
 def _levels(grid) -> np.ndarray:
     """``grid`` as a float array of penalty levels, each finite and nonnegative."""
-    grid = np.asarray(grid, dtype=float).reshape(-1)
-    bad = grid[~(np.isfinite(grid) & (grid >= 0.0))]
+    grid = number_array(grid, "lambda must be finite and nonnegative").reshape(-1)
+    bad = grid[grid < 0.0]
     if bad.size:
         raise DomainError(f"lambda must be finite and nonnegative, got {bad[0]}")
     return grid
@@ -342,8 +344,6 @@ def kkt_residual(Y, X, beta, lam, init, penalize_mask=None) -> float:
     """
     (X, Y), = _data_blocks(Y, X)
     beta = _vector(beta, X.shape[1], "beta")
-    if not np.isfinite(beta).all():
-        raise DomainError("the KKT residual needs a finite beta")
     lam, = _levels([lam])
     scale, excluded = _penalty(init, penalize_mask, X.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -393,9 +393,12 @@ def _segments(G, b, scale, excluded):
     s fixed, ``G_AA beta_A = b_A - lam w_A s_A`` (w = 1/scale) makes beta_A
     linear in lam.  The next breakpoint is the largest lower lam at which an
     inactive correlation reaches ``lam w_k`` (k joins) or an active
-    penalized coordinate reaches zero (k leaves).  A coordinate that just
-    joined cannot leave, nor one that just left rejoin on the same side,
-    within the next segment: that event sits at the segment's top.
+    penalized coordinate reaches zero (k leaves).  A coordinate that just left
+    may not rejoin on the same side within the next segment: that event sits
+    at the segment's top.  One that just joined needs no such bar (the sign
+    condition of LARS): k joins on side s only where ``w_k - s e_k > 0``, and
+    bordering gives ``s gamma_k = (w_k - s e_k) / pivot > 0``, so the leave test
+    ``s gamma_k < 0`` passes it over but for rounding.
 
     ``inv(G_AA)`` and ``G[A]`` are kept, A in join order: a joining coordinate
     borders the inverse (pivot ``g_kk - g_kA G_AA^-1 g_Ak``), a leaving one is
@@ -408,7 +411,7 @@ def _segments(G, b, scale, excluded):
     Ginv = np.linalg.inv(G[np.ix_(A, A)])
     GA = G[A]  # G[:, A] transposed: G is symmetric
     sign, never = np.zeros_like(b), np.full_like(b, -np.inf)  # never: no event level
-    hi, joined, left, left_side = np.inf, -1, -1, 0.0
+    hi, left, left_side = np.inf, -1, 0.0
     while True:
         sA, waiting = sign[A], penalized & (sign == 0.0)  # sA is 0 where unpenalized
         coef = Ginv @ np.array([b[A], w[A] * sA]).T
@@ -420,8 +423,6 @@ def _segments(G, b, scale, excluded):
         if left_side:  # the coordinate that just left may not rejoin on its old side
             (up if left_side > 0.0 else down)[left] = -np.inf
         leave = np.divide(alpha, gamma, out=never[:A.size].copy(), where=sA * gamma < 0.0)
-        if joined >= 0:  # the coordinate that just joined, last in A, may not leave
-            leave[-1] = -np.inf
         join = np.maximum(up, down)
         lam_in, lam_out = join.max(initial=-np.inf), leave.max(initial=-np.inf)
         lo = min(max(lam_in, lam_out, 0.0), hi)
@@ -438,14 +439,14 @@ def _segments(G, b, scale, excluded):
             Ginv[:-1, :-1] += old
             A, GA = np.concatenate((A, (k,))), np.concatenate((GA, G[k:k + 1]))
             sign[k] = 1.0 if up[k] >= down[k] else -1.0
-            joined, left, left_side = k, -1, 0.0
+            left, left_side = -1, 0.0
         else:
             j = int(leave.argmax())
             k, keep = A[j], A != A[j]
             c = Ginv[j, keep]
             Ginv = Ginv[keep][:, keep] - c[:, None] * (c / Ginv[j, j])
             A, GA = A[keep], GA[keep]
-            joined, left, left_side = -1, k, sign[k]
+            left, left_side = k, sign[k]
             sign[k] = 0.0
         hi = lo
 

@@ -5,9 +5,9 @@ A symmetric p x p matrix M is stored as the length p(p+1)/2 vector
     (M_11, ..., M_pp, M_12, ..., M_1p, M_23, ..., M_2p, ..., M_{p-1,p}),
 
 diagonal first, then the upper off-diagonal entries in row-major order.
-The companion transform ``v_transform`` maps a point x to the row vector
-satisfying v(x) . halfvec(M) == x' M x, which turns quadratic forms into
-linear functions of the stored entries.  Every other module indexes
+The companion transform ``v_transform_rows`` maps each row x of a matrix to the
+row vector satisfying v(x) . halfvec(M) == x' M x, which turns quadratic forms
+into linear functions of the stored entries.  Every other module indexes
 variances as the first p entries and covariances after; ``halfvec_indices``
 is the authoritative index map.
 """
@@ -23,7 +23,6 @@ __all__ = [
     "halfvec_indices",
     "vec_half",
     "unvec_half",
-    "v_transform",
     "v_transform_rows",
     "min_eigenvalue",
     "numeric_rank",
@@ -91,22 +90,10 @@ def unvec_half(s, p: int) -> np.ndarray:
     return M
 
 
-def v_transform(x) -> np.ndarray:
-    """Map x to (x_1^2, ..., x_p^2, 2 x_1 x_2, ..., 2 x_{p-1} x_p).
-
-    The output satisfies ``v_transform(x) @ vec_half(M) == x @ M @ x`` for
-    every symmetric M.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise DimensionError(f"expected a nonempty vector, got shape {x.shape}")
-    outer = np.outer(x, x)
-    iu = np.triu_indices(x.shape[0], k=1)
-    return np.concatenate([x * x, 2.0 * outer[iu]])
-
-
 def v_transform_rows(X) -> np.ndarray:
-    """Row-wise :func:`v_transform` of an n x p matrix, returned as n x p(p+1)/2.
+    """Each row x of an n x p matrix mapped to (x_1^2, ..., x_p^2, 2 x_1 x_2, ..., 2 x_{p-1} x_p),
+    returned as n x p(p+1)/2; row i times ``vec_half(M)`` is ``X[i] @ M @ X[i]`` for every
+    symmetric M.
 
     The columns are written in one pass, so the result is Fortran-ordered.
     """

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -24,8 +22,12 @@ from .errors import (
     DimensionError,
     DomainError,
     InfeasibleError,
+    is_number,
+    is_real,
+    number_array,
+    whole_number,
 )
-# numeric_rank is kept for perfbench/tracing.py, which wraps it.
+# numeric_rank and v_transform_rows are kept for perfbench/tracing.py, which wraps them.
 from .halfvec import half_dim, min_eigenvalue, numeric_rank, v_transform_rows  # noqa: F401
 
 __all__ = [
@@ -34,7 +36,6 @@ __all__ = [
     "PartialIdBlocks",
     "VarianceBounds",
     "Classification",
-    "build_design_S",
     "check_identified",
     "mixed_moments_single_regressor",
     "assemble_covariance",
@@ -48,7 +49,7 @@ class SupportSpec:
     """Finite per-covariate support sets (intercept excluded).
 
     ``supports[j]`` is a sequence of the distinct values covariate j+1 can take,
-    each a finite real number other than a bool; the sets are normalized to
+    each a number (:mod:`rcreg.errors`); the sets are normalized to
     sorted tuples of floats.  An empty ``supports`` describes the intercept-only
     model.
     """
@@ -56,14 +57,16 @@ class SupportSpec:
     supports: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
+        if not np.iterable(self.supports):
+            raise DomainError(f"supports must be a sequence of support sets, got {self.supports!r}")
         normalized = []
         for j, pts in enumerate(self.supports):
             pts = tuple(pts) if np.iterable(pts) else ("not a sequence",)
-            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in pts):
+            if not all(map(is_real, pts)):
                 raise DomainError(f"coordinate {j + 1} must be a sequence of numbers")
             if len(pts) == 0:
                 raise DomainError(f"coordinate {j + 1} has an empty support")
-            if not all(abs(v) <= sys.float_info.max for v in pts):  # False for NaN too
+            if not all(map(is_number, pts)):
                 raise DomainError(f"coordinate {j + 1} has a non-finite support point")
             pts = tuple(sorted(map(float, pts)))
             if len(set(pts)) != len(pts):
@@ -85,10 +88,10 @@ class IdentReport:
     when ``deficient_coordinates`` (1-based covariate indices keeping fewer
     than three levels, see :func:`check_identified`) is empty.  ``witness_points``
     lie in the product of the supports, in the spec's units, and their design
-    (:func:`build_design_S`) has the rank of the whole support: one point per
-    rank, ``achieved_rank`` in all, so p(p+1)/2 exactly when every coordinate
-    keeps three levels.  They are built from the levels each coordinate keeps
-    (see ``_witness``).
+    (``v_transform_rows`` of the points, each with a leading 1) has the rank of
+    the whole support: one point per rank, ``achieved_rank`` in all, so p(p+1)/2
+    exactly when every coordinate keeps three levels.  They are built from the
+    levels each coordinate keeps (see ``_witness``).
     """
 
     full_dim: int
@@ -128,16 +131,8 @@ class PartialIdBlocks:
     var_b0_plus_b1: float = 0.0
 
     def __post_init__(self):
-        fields = []
-        for name in ("cov_b0_b2", "cov_b1_b2", "var_b0_plus_b1"):
-            try:
-                x = np.asarray(getattr(self, name))
-            except ValueError:  # ragged nesting
-                x = np.asarray(None)
-            if x.dtype.kind not in "iuf" or not np.all(np.isfinite(x)):
-                raise DomainError(f"{name} must hold finite numbers only")
-            fields.append(x.astype(float))
-        C, r, v = fields
+        C, r, v = (number_array(getattr(self, name), f"{name} must hold finite numbers only")
+                   for name in ("cov_b0_b2", "cov_b1_b2", "var_b0_plus_b1"))
         if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] < 1:
             raise DimensionError(f"cov_b0_b2 must be square, got shape {C.shape}")
         scale = max(1.0, float(np.max(np.abs(C))) if C.size else 1.0)
@@ -156,32 +151,13 @@ class PartialIdBlocks:
         if v.ndim or v < 0:
             raise DomainError(f"var_b0_plus_b1 must be a nonnegative number, got {v}")
         object.__setattr__(self, "cov_b0_b2", C)
-        object.__setattr__(self, "cov_b1_b2", r.reshape(-1))
+        object.__setattr__(self, "cov_b1_b2", r.flatten())
         object.__setattr__(self, "var_b0_plus_b1", float(v))
 
     @property
     def p(self) -> int:
         """Total number of coefficients (B0, B1 and the B2 block)."""
         return self.cov_b0_b2.shape[0] + 1
-
-
-def build_design_S(points) -> np.ndarray:
-    """Design matrix with rows v((1, w')') over the given covariate points.
-
-    ``points`` is a sequence of equal-length covariate vectors (length 0 is
-    the intercept-only model); row order follows input order.  Full rank
-    p(p+1)/2 of this matrix is exactly identifiability of the coefficient
-    covariance matrix.
-    """
-    pts = [np.atleast_1d(np.asarray(w, dtype=float)).reshape(-1) for w in points]
-    if len(pts) == 0:
-        raise DimensionError("need at least one covariate point")
-    q = pts[0].shape[0]
-    if any(w.shape[0] != q for w in pts):
-        raise DimensionError("covariate points have inconsistent dimensions")
-    X = np.ones((len(pts), q + 1))
-    X[:, 1:] = np.vstack(pts)
-    return v_transform_rows(X)
 
 
 def _witness(levels) -> tuple[tuple[float, ...], ...]:
@@ -211,9 +187,9 @@ def _witness(levels) -> tuple[tuple[float, ...], ...]:
 
 
 def check_tol(tol: float) -> None:
-    """Raise :class:`DomainError` unless ``tol`` is finite and positive."""
-    if not 0.0 < tol < np.inf:
-        raise DomainError(f"tol must be finite and positive, got {tol}")
+    """Raise :class:`DomainError` unless ``tol`` is a positive number."""
+    if not (0.0 < tol < math.inf if type(tol) is float else is_number(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
 
 
 def check_identified(spec: SupportSpec, *, rank_tol: float = 1e-10) -> IdentReport:
@@ -259,21 +235,16 @@ def mixed_moments_single_regressor(support, cond_moments, order: int) -> np.ndar
     (E[B0^n], E[B0^(n-1) B1], ..., E[B1^n]).  Raises :class:`DomainError`
     for a non-finite entry or an ``order`` that is not a nonnegative whole number.
     """
-    whole = isinstance(order, numbers.Integral) or (
-        isinstance(order, numbers.Real) and float(order).is_integer()
-    )
-    if isinstance(order, bool) or not whole or order < 0:
+    n = whole_number(order, "order must be a nonnegative whole number")
+    if n < 0:
         raise DomainError(f"order must be a nonnegative whole number, got {order!r}")
-    w = np.asarray(support, dtype=float).reshape(-1)
-    c = np.asarray(cond_moments, dtype=float).reshape(-1)
-    n = int(order)
+    w, c = (number_array(x, "support points and conditional moments must be finite numbers")
+            .reshape(-1) for x in (support, cond_moments))
     if w.shape[0] != n + 1 or c.shape[0] != n + 1:
         raise DimensionError(
             f"need {n + 1} support points and conditional moments, "
             f"got {w.shape[0]} and {c.shape[0]}"
         )
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(c))):
-        raise DomainError("support points and conditional moments must be finite")
     if len(set(w.tolist())) != w.shape[0]:
         raise DomainError("duplicated support points make the system singular")
     with np.errstate(all="ignore"):  # an overflow leaves a non-finite m or residual
@@ -297,8 +268,7 @@ def assemble_covariance(blocks: PartialIdBlocks, s: float) -> np.ndarray:
     positive semidefinite.  Raises :class:`DomainError` unless ``s`` is finite
     and nonnegative.
     """
-    finite = isinstance(s, numbers.Real) and 0.0 <= s <= sys.float_info.max  # False for NaN
-    if isinstance(s, bool) or not finite:
+    if not (is_number(s) and s >= 0.0):
         raise DomainError(f"s must be a finite nonnegative number, got {s!r}")
     p = blocks.p
     v0 = blocks.cov_b0_b2[0, 0]

@@ -14,7 +14,6 @@ results are independent of execution order and worker count.
 
 from __future__ import annotations
 
-import numbers
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -22,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, RcregError
+from .errors import DomainError, RcregError, is_number, number_array, whole_number
 # Unused names here are kept for perfbench/tracing.py, which wraps them.
 from .estimate import (  # noqa: F401
     PSD_TOL,
@@ -90,16 +89,10 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("n", "p", "replications", "seed", "pilot_replications", "grid_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, whole_number(getattr(self, name), f"{name} must be an integer"))
         self.covariate_law = CovariateLaw(self.covariate_law)
-        for name in ("mu1", "sigma1"):
-            bad = [v for v in np.asarray(getattr(self, name), object).flat if not _finite_real(v)]
-            if bad:
-                raise DomainError(f"{name} entries must be finite reals, got {bad[0]!r}")
-        self.mu1 = np.asarray(self.mu1, dtype=float).reshape(-1)
-        self.sigma1 = np.asarray(self.sigma1, dtype=float)
+        self.mu1 = number_array(self.mu1, "mu1 entries must be finite reals").reshape(-1)
+        self.sigma1 = number_array(self.sigma1, "sigma1 entries must be finite reals")
         if self.mu1.shape[0] != 4 or self.sigma1.shape != (4, 4):
             raise DomainError("mu1 must have length 4 and sigma1 shape (4, 4)")
         if self.p < 5:
@@ -110,16 +103,11 @@ class SimConfig:
             raise DomainError(f"grid_size must be >= 1, got {self.grid_size}")
         if self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
-        if not _finite_real(self.b4):
+        if not is_number(self.b4):
             raise DomainError(f"b4 must be a finite real, got {self.b4!r}")
-        if self.lam is not None and not (_finite_real(self.lam) and self.lam >= 0):
+        if self.lam is not None and not (is_number(self.lam) and self.lam >= 0):
             raise DomainError(f"lam must be finite and nonnegative, got {self.lam!r}")
         _psd_factor(self.sigma1)  # fail fast on an invalid covariance block
-
-
-def _finite_real(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)  # also False for an int beyond float
 
 
 @dataclass(frozen=True)

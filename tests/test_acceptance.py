@@ -22,7 +22,6 @@ from rcreg import (
     SimConfig,
     SupportSpec,
     adaptive_lasso,
-    build_design_S,
     check_identified,
     fit_moments,
     half_dim,
@@ -90,7 +89,8 @@ def test_criterion_2_identification_ranks():
     with Criterion(2, "witness sets reach full rank; binary coordinates never do", 5.0):
         for p in range(2, 9):
             spec = SupportSpec(((-1.0, 0.0, 1.0),) * (p - 1))
-            S = build_design_S(check_identified(spec).witness_points)
+            W = np.array(check_identified(spec).witness_points)
+            S = rcreg.v_transform_rows(np.column_stack([np.ones(len(W)), W]))
             svals = np.linalg.svd(S, compute_uv=False)
             full = half_dim(p)
             assert S.shape == (full, full)

@@ -288,11 +288,13 @@ def test_csv_reader_contract_through_a_fifo(tmp_path, capsys, body, expected):
     assert not writer.is_alive()
 
 
-def _parse_in_ranges(monkeypatch, path, workers):
-    """``_read_dataset_csv(path)`` with ranges of 64 bytes, as many as ``workers``."""
+def _parse_in_ranges(monkeypatch, path, ranges):
+    """``_read_dataset_csv(path)`` on two workers, with ``_RANGE_BYTES`` set so that the
+    body after the header line is cut into ``ranges`` ranges."""
+    raw = Path(path).read_bytes()
     with monkeypatch.context() as m:
-        m.setattr(cli, "_RANGE_BYTES", 64)
-        m.setenv("RCREG_THREADS", str(workers))
+        m.setattr(cli, "_RANGE_BYTES", (len(raw) - raw.index(b"\n") - 1) // ranges)
+        m.setenv("RCREG_THREADS", "2")
         return cli._read_dataset_csv(path)
 
 

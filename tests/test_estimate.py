@@ -40,7 +40,7 @@ from rcreg import (
     ols,
     sandwich,
     unvec_half,
-    v_transform,
+    v_transform_rows,
     vec_half,
     witness_check,
 )
@@ -486,7 +486,7 @@ class TestSandwich:
         c_hat = fit_moments(data, 0.0).stage.G
         exact = np.zeros_like(c_hat)
         for combo in itertools.product([-1.0, 0.0, 1.0], repeat=2):
-            vx = v_transform(np.array([1.0, *combo]))
+            vx = v_transform_rows([[1.0, *combo]])[0]
             exact += np.outer(vx, vx) / 9.0
         rel = np.linalg.norm(c_hat - exact) / np.linalg.norm(exact)
         assert rel <= 0.05
@@ -504,7 +504,7 @@ class TestSandwich:
         b_exact = np.zeros((d, d))
         c_exact = np.zeros((d, d))
         for combo in itertools.product([-1.0, 0.0, 1.0], repeat=2):
-            vx = v_transform(np.array([1.0, *combo]))
+            vx = v_transform_rows([[1.0, *combo]])[0]
             b_exact += (vx @ psi @ vx) * np.outer(vx, vx) / 9.0
             c_exact += np.outer(vx, vx) / 9.0
         data = draw_dataset(200_000, seed=3, mu=mu, cov=Sg, n_covariates=2,

@@ -13,7 +13,6 @@ from rcreg import (
     min_eigenvalue,
     numeric_rank,
     unvec_half,
-    v_transform,
     v_transform_rows,
     vec_half,
 )
@@ -48,10 +47,15 @@ def test_round_trip_exact_5x5():
     assert np.array_equal(unvec_half(vec_half(M), 5), M)
 
 
+def _v_row(x):
+    """Reference transform of one point: its squares, then twice its cross products."""
+    return np.concatenate([x * x, 2.0 * np.outer(x, x)[np.triu_indices(x.size, k=1)]])
+
+
 def test_v_transform_examples():
-    assert np.array_equal(v_transform([1.0, 2.0]), [1.0, 4.0, 4.0])
-    assert np.array_equal(v_transform([1.0, 0.0, 0.0]), [1, 0, 0, 0, 0, 0])
-    assert np.array_equal(v_transform([1.0, -1.0]), [1.0, 1.0, -2.0])
+    rows = v_transform_rows([[1.0, 2.0, 0.0], [1.0, 0.0, 0.0], [1.0, -1.0, 0.0]])
+    assert np.array_equal(rows, [[1, 4, 0, 4, 0, 0], [1, 0, 0, 0, 0, 0], [1, 1, 0, -2, 0, 0]])
+    assert np.array_equal(v_transform_rows([[1.0, -1.0]]), [[1.0, 1.0, -2.0]])
 
 
 def test_v_transform_rows_matches_single():
@@ -59,7 +63,7 @@ def test_v_transform_rows_matches_single():
     X = rng.normal(size=(7, 4))
     rows = v_transform_rows(X)
     for i in range(7):
-        assert np.array_equal(rows[i], v_transform(X[i]))
+        assert np.array_equal(rows[i], _v_row(X[i]))
 
 
 @pytest.mark.parametrize("shape,law", [
@@ -75,7 +79,7 @@ def test_v_transform_rows_is_row_by_row_bit_for_bit(shape, law):
     rows = v_transform_rows(X)
     assert rows.shape == (shape[0], half_dim(shape[1])) and rows.flags.f_contiguous
     for i in range(shape[0]):
-        assert np.array_equal(rows[i], v_transform(X[i]))
+        assert np.array_equal(rows[i], _v_row(X[i]))
 
 
 def test_min_eigenvalue_examples():
@@ -117,7 +121,7 @@ def test_dimension_errors():
     with pytest.raises(DimensionError):
         unvec_half([1.0, 2.0], 2)
     with pytest.raises(DimensionError):
-        v_transform(np.array([]))
+        v_transform_rows(np.ones((2, 0)))
 
 
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**32 - 1))
@@ -127,9 +131,10 @@ def test_quadratic_form_identity(p, seed):
     x = rng.uniform(-10, 10, p)
     A = rng.uniform(-10, 10, (p, p))
     M = (A + A.T) / 2
-    lhs = float(v_transform(x) @ vec_half(M))
+    vx = v_transform_rows(x[None])[0]
+    lhs = float(vx @ vec_half(M))
     rhs = float(x @ M @ x)
-    scale = max(1.0, float(np.abs(v_transform(x)) @ np.abs(vec_half(M))))
+    scale = max(1.0, float(np.abs(vx) @ np.abs(vec_half(M))))
     assert abs(lhs - rhs) <= 1e-12 * scale
 
 

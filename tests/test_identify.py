@@ -19,37 +19,37 @@ from rcreg import (
     PartialIdBlocks,
     SupportSpec,
     assemble_covariance,
-    build_design_S,
     check_identified,
     half_dim,
     min_eigenvalue,
     mixed_moments_single_regressor,
     numeric_rank,
     partial_id_bounds,
+    v_transform_rows,
 )
+
+
+def _design(points):
+    """Rows v((1, w')) over the covariate points ``w``, in input order."""
+    W = np.asarray(points, dtype=float).reshape(len(points), -1)
+    return v_transform_rows(np.column_stack([np.ones(len(points)), W]))
 
 
 class TestBuildDesign:
     def test_three_point_rows_and_rank(self):
-        S = build_design_S([[-1.0], [0.0], [1.0]])
+        S = v_transform_rows([[1.0, -1.0], [1.0, 0.0], [1.0, 1.0]])
         assert np.array_equal(S, [[1, 1, -2], [1, 0, 0], [1, 1, 2]])
         assert numeric_rank(S) == 3
 
     def test_binary_regressor_rank_deficient(self):
-        S = build_design_S([[0.0], [1.0]])
+        S = v_transform_rows([[1.0, 0.0], [1.0, 1.0]])
         assert np.array_equal(S, [[1, 0, 0], [1, 1, 2]])
         assert numeric_rank(S) == 2
 
     def test_intercept_only(self):
-        S = build_design_S([[]])
+        S = v_transform_rows([[1.0]])
         assert np.array_equal(S, [[1.0]])
         assert numeric_rank(S) == 1
-
-    def test_inconsistent_dimensions(self):
-        with pytest.raises(DimensionError):
-            build_design_S([[1.0, 2.0], [1.0]])
-        with pytest.raises(DimensionError):
-            build_design_S([])
 
 
 class TestCartesianPoints:
@@ -68,7 +68,7 @@ class TestCartesianPoints:
         assert len({tuple(w) for w in pts}) == len(pts)
         prod = set(itertools.product(*spec.supports))
         assert all(tuple(w) in prod for w in pts)
-        assert numeric_rank(build_design_S(pts)) == half_dim(p)
+        assert numeric_rank(_design(pts)) == half_dim(p)
 
     def test_deficient_support_returns_rank_many_witness(self):
         spec = SupportSpec(((0.0, 1.0, 2.0), (0.0, 1.0), (3.0, 4.0)))
@@ -95,7 +95,7 @@ class TestCartesianPoints:
             for _ in range(q)
         )
         spec = SupportSpec(supports)
-        S = build_design_S(check_identified(spec).witness_points)
+        S = _design(check_identified(spec).witness_points)
         assert numeric_rank(S) == half_dim(q + 1)
 
 
@@ -135,7 +135,7 @@ class TestCheckIdentified:
             tuple(tuple(rng.choice(np.arange(-20, 21), size=k, replace=False) / 2.0) for k in sizes)
         )
         rep = check_identified(spec)
-        product = numeric_rank(build_design_S(list(itertools.product(*spec.supports))))
+        product = numeric_rank(_design(list(itertools.product(*spec.supports))))
         m2 = sum(len(pts) >= 2 for pts in spec.supports)
         m3 = sum(len(pts) >= 3 for pts in spec.supports)
         assert rep.achieved_rank == len(rep.witness_points) == product
