@@ -48,6 +48,7 @@ from .errors import (
     SingularDesignError,
     SingularGramError,
     WitnessContradictionError,
+    is_number,
     number_array,
 )
 from .halfvec import half_dim, min_eigenvalue, numeric_rank, unvec_half, v_transform_rows
@@ -559,14 +560,14 @@ def witness_check(X, Y, S, lam, init, beta_star=None) -> WitnessReport:
     """
     G, b, n = form = _gram(_data_blocks(Y, X))
     p = G.shape[0]
-    S = np.asarray(S).reshape(-1)
-    if S.size > n:
-        raise DimensionError(f"|S|={S.size} exceeds the sample size {n}")
-    if S.dtype.kind not in "biuf" or np.any(S != np.floor(S)) or np.unique(S).size < S.size:
-        raise DomainError(f"S must hold distinct whole column indices, got {S.tolist()}")
-    if np.any((S < 0) | (S >= p)):
-        raise DimensionError(f"S must index the {p} columns of X, got {S.tolist()}")
-    S = S.astype(int)
+    entries = np.asarray(S, dtype=object).reshape(-1).tolist()
+    if len(entries) > n:
+        raise DimensionError(f"|S|={len(entries)} exceeds the sample size {n}")
+    if not all(is_number(v) and v == int(v) for v in entries) or len(set(entries)) < len(entries):
+        raise DomainError(f"S must hold distinct whole column indices, got {entries}")
+    if not all(0 <= v < p for v in entries):
+        raise DimensionError(f"S must index the {p} columns of X, got {entries}")
+    S = np.array(entries, dtype=int)
     lam, = _levels([lam])
     scale, excluded = _penalty(init, None, p)
     if np.any(excluded[S]):

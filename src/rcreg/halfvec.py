@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, number_array
 
 __all__ = [
     "half_dim",
@@ -95,9 +95,10 @@ def v_transform_rows(X) -> np.ndarray:
     returned as n x p(p+1)/2; row i times ``vec_half(M)`` is ``X[i] @ M @ X[i]`` for every
     symmetric M.
 
-    The columns are written in one pass, so the result is Fortran-ordered.
+    The columns are written in one pass, so the result is Fortran-ordered.  Raises
+    :class:`DomainError` unless ``X`` is an array of numbers (:mod:`rcreg.errors`).
     """
-    X = np.asarray(X, dtype=float)
+    X = number_array(X, "X must hold finite numbers only")
     if X.ndim != 2 or X.shape[1] < 1:
         raise DimensionError(f"expected an n x p matrix with p >= 1, got shape {X.shape}")
     p = X.shape[1]

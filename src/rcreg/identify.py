@@ -27,7 +27,7 @@ from .errors import (
     number_array,
     whole_number,
 )
-# numeric_rank and v_transform_rows are kept for perfbench/tracing.py, which wraps them.
+# min_eigenvalue, numeric_rank, v_transform_rows: kept for perfbench/tracing.py to wrap.
 from .halfvec import half_dim, min_eigenvalue, numeric_rank, v_transform_rows  # noqa: F401
 
 __all__ = [
@@ -124,11 +124,16 @@ class PartialIdBlocks:
     regressor, the data pin down ``cov_b0_b2`` = Cov((B0, B2')'), the
     cross-covariances ``cov_b1_b2`` = Cov(B1; B2), and ``var_b0_plus_b1``
     = Var(B0 + B1); Var(B1) itself is free.
+
+    ``cov_b0_b2`` is symmetrized and refused when its smallest eigenvalue is below
+    -1e-10 * max(1, max_ij |C_ij|), a cut free of units.  ``eig`` keeps its ``np.linalg.eigh``
+    (eigenvalues ascending, eigenvectors); it and both covariances are read-only.
     """
 
     cov_b0_b2: np.ndarray
     cov_b1_b2: np.ndarray = field(default_factory=lambda: np.zeros(0))
     var_b0_plus_b1: float = 0.0
+    eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         C, r, v = (number_array(getattr(self, name), f"{name} must hold finite numbers only")
@@ -139,10 +144,10 @@ class PartialIdBlocks:
         if np.max(np.abs(C - C.T)) > 1e-12 * scale:
             raise DomainError("cov_b0_b2 is not symmetric")
         C = (C + C.T) / 2.0
-        lam = min_eigenvalue(C)
-        if lam < -1e-10:
+        lam, V = np.linalg.eigh(C)
+        if lam[0] < -1e-10 * scale:
             raise DomainError(
-                f"cov_b0_b2 is not positive semidefinite (min eigenvalue {lam:.3e})"
+                f"cov_b0_b2 is not positive semidefinite (min eigenvalue {lam[0]:.3e})"
             )
         if r.size != C.shape[0] - 1:
             raise DimensionError(
@@ -150,9 +155,13 @@ class PartialIdBlocks:
             )
         if v.ndim or v < 0:
             raise DomainError(f"var_b0_plus_b1 must be a nonnegative number, got {v}")
+        r = r.flatten()
+        for a in (C, r, lam, V):
+            a.flags.writeable = False
         object.__setattr__(self, "cov_b0_b2", C)
-        object.__setattr__(self, "cov_b1_b2", r.flatten())
+        object.__setattr__(self, "cov_b1_b2", r)
         object.__setattr__(self, "var_b0_plus_b1", float(v))
+        object.__setattr__(self, "eig", (lam, V))
 
     @property
     def p(self) -> int:
@@ -290,9 +299,9 @@ def partial_id_bounds(blocks: PartialIdBlocks, tol: float = 1e-9) -> VarianceBou
     with F = ``cov_b0_b2``, u(s) = u0 - (s/2) e1 and u0 = ((``var_b0_plus_b1`` -
     F_00) / 2, ``cov_b1_b2``).  It is PSD exactly when u(s) lies in the range of F
     and q(s) = s - u(s)'F+u(s) >= 0 (the Schur-complement test for one free
-    diagonal entry; Horn & Johnson, *Matrix Analysis*, 7.7).  From one
-    eigendecomposition of F, whose kernel holds the eigenvalues
-    <= max(tol, 1e-12 * max(1, lambda_max)):
+    diagonal entry; Horn & Johnson, *Matrix Analysis*, 7.7).  From the
+    eigendecomposition of F that the record holds (``blocks.eig``), whose kernel
+    holds the eigenvalues <= max(tol, 1e-12 * max(1, lambda_max)):
 
     * a kernel vector k adds the linear condition k'u(s) = 0, which pins s when
       k loads on B0 and otherwise asks k'u0 = 0;
@@ -314,7 +323,7 @@ def partial_id_bounds(blocks: PartialIdBlocks, tol: float = 1e-9) -> VarianceBou
     check_tol(tol)
     F = blocks.cov_b0_b2
     u0 = np.array([(blocks.var_b0_plus_b1 - F[0, 0]) / 2.0, *blocks.cov_b1_b2.tolist()])
-    lam, V = np.linalg.eigh(F)
+    lam, V = blocks.eig
     # lam ascends: V's first k columns span the kernel; F order fixes the products' last digits
     k = bisect.bisect_right(lam.tolist(), max(tol, 1e-12 * max(1.0, float(lam[-1]))))
     kernel, V, lam = np.asfortranarray(V[:, :k]), np.asfortranarray(V[:, k:]), lam[k:]

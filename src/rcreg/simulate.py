@@ -66,6 +66,10 @@ DEFAULT_SIGMA1 = (
 )
 DEFAULT_B4 = 20.0
 
+# Largest replications and pilot_replications: every replication's result is held in
+# memory, and the job list is built whole before the first job runs.
+MAX_REPLICATIONS = 10**6
+
 # Tuning pilots draw from a different stream domain than the main study.
 _STREAM_MAIN = 0
 _STREAM_PILOT = 1
@@ -99,6 +103,10 @@ class SimConfig:
             raise DomainError(f"p must be at least 5, got {self.p}")
         if self.n < 1 or self.replications < 1 or self.pilot_replications < 1:
             raise DomainError("n, replications and pilot_replications must be >= 1")
+        for name, count in (("replications", self.replications),
+                            ("pilot_replications", self.pilot_replications)):
+            if count > MAX_REPLICATIONS:
+                raise DomainError(f"{name} must be at most {MAX_REPLICATIONS}, got {count}")
         if self.grid_size < 1:
             raise DomainError(f"grid_size must be >= 1, got {self.grid_size}")
         if self.seed < 0:

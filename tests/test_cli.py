@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -587,6 +588,25 @@ class TestSimulate:
         assert code == 0
         summary = json.loads((tmp_path / "r" / "summary.json").read_text())
         assert summary["seed"] == 9 and summary["replications"] == 3
+
+    @pytest.mark.parametrize("field, flag", [
+        ('"n": 500, "replications": 1e15', []),
+        ('"n": 500, "pilot_replications": 1e15', []),
+        ('"n": 500', ["--replications", str(10**15)]),
+    ])
+    def test_replication_count_beyond_bound_exit_one(self, tmp_path, capsys, monkeypatch,
+                                                     field, flag):
+        def study_started(cfg):
+            raise AssertionError("the study started")
+
+        monkeypatch.setattr(cli, "monte_carlo", study_started)
+        cfg = write(tmp_path / "sim.json", SIM_CONFIG.replace('"replications": 5,', "") % field)
+        start = time.perf_counter()
+        code, out, err = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "r"),
+                                  *flag], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "") and f"at most {simulate.MAX_REPLICATIONS}" in err
+        assert not (tmp_path / "r").exists()
 
     def test_invalid_sigma1_exit_one(self, tmp_path, capsys):
         cfg = write(

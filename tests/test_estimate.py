@@ -170,7 +170,7 @@ class TestOls:
 
     @pytest.mark.parametrize("entry", ["kkt_residual", "witness_check_1d", "witness_check_rows",
                                        "witness_check_past_p", "witness_check_negative",
-                                       "ols_no_rows", "kkt_residual_no_rows"])
+                                       "witness_check_huge", "ols_no_rows", "kkt_residual_no_rows"])
     def test_mismatched_shapes_are_dimension_errors(self, entry):
         X, Y, init = np.random.default_rng(6).normal(size=(8, 3)), np.ones(8), np.ones(3)
         call = {
@@ -179,6 +179,7 @@ class TestOls:
             "witness_check_rows": lambda: witness_check(X, Y[:7], [0, 1], 1.0, init),
             "witness_check_past_p": lambda: witness_check(X, Y, [0, 3], 1.0, init),
             "witness_check_negative": lambda: witness_check(X, Y, [-1], 1.0, init),
+            "witness_check_huge": lambda: witness_check(X, Y, [10**30], 1.0, init),
             "ols_no_rows": lambda: ols(Y[:0], X[:0]),
             "kkt_residual_no_rows": lambda: kkt_residual(Y[:0], X[:0], np.zeros(3), 1.0, init),
         }[entry]
@@ -191,6 +192,13 @@ class TestOls:
         X, Y = np.random.default_rng(6).normal(size=(30, 3)), np.ones(30)
         with pytest.raises(DomainError, match=re.escape(f"distinct whole column indices, got {S}")):
             witness_check(X, Y, S, 1.0, np.ones(3))
+
+    @pytest.mark.parametrize("S", [[True, 2], np.array([True, False]), [np.True_, 1]],
+                             ids=["list", "bool-array", "numpy-bool"])
+    def test_bools_are_not_column_indices(self, S):
+        X, Y = np.random.default_rng(6).normal(size=(30, 3)), np.ones(30)
+        with pytest.raises(DomainError, match="distinct whole column indices, got "):
+            witness_check(X, Y, S, 0.1, np.ones(3))
 
     @pytest.mark.parametrize("lam, certified", [(1e6, True), (1e-6, False)])
     def test_empty_support_certified_only_where_every_coordinate_is_zero(self, lam, certified):

@@ -124,6 +124,12 @@ def test_dimension_errors():
         v_transform_rows(np.ones((2, 0)))
 
 
+@pytest.mark.parametrize("X", [[["1", "2"]], [[True, 2]], [[np.nan, 1.0]]])
+def test_v_transform_rows_reads_numbers_only(X):
+    with pytest.raises(DomainError, match="^X must hold finite numbers only, got "):
+        v_transform_rows(X)
+
+
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_quadratic_form_identity(p, seed):

@@ -1,5 +1,6 @@
 """Sharp Var(B1) bounds over PSD completions, against a dense grid oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -405,3 +406,91 @@ class TestBlockValidation:
             kwargs[field].flat[-1] = bad
         with pytest.raises(DomainError, match=field):
             PartialIdBlocks(**kwargs)
+
+
+class TestPsdRule:
+    """cov_b0_b2 is refused below -1e-10 * max(1, max_ij |C_ij|), whatever its units."""
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_rank_deficient_block_accepted_at_every_scale(self, k):
+        B = np.random.default_rng(8).normal(size=(4, 2))
+        C = 10.0**k * (B @ B.T)
+        blocks = PartialIdBlocks(C, np.zeros(3), C[0, 0])
+        assert classify_randomness(blocks) is Classification.FORCED_ZERO
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_negative_eigenvalue_refused_at_every_scale(self, k):
+        v = np.linalg.qr(np.random.default_rng(9).normal(size=(4, 1)))[0][:, 0]
+        C = 10.0**k * (np.eye(4) - (1.0 + 1e-3) * np.outer(v, v))  # min eigenvalue -1e-3 * 10^k
+        with pytest.raises(DomainError, match="positive semidefinite"):
+            PartialIdBlocks(C, np.zeros(3), 1.0)
+
+    @pytest.mark.parametrize("lam_min, accepted", [(-5e-11, True), (-2e-10, False)])
+    def test_unit_scale_blocks_keep_the_absolute_cut(self, lam_min, accepted):
+        C = np.diag([1.0, lam_min])
+        if accepted:
+            PartialIdBlocks(C, [0.0], 1.0)
+        else:
+            with pytest.raises(DomainError, match="positive semidefinite"):
+                PartialIdBlocks(C, [0.0], 1.0)
+
+
+def _no_lapack(monkeypatch):
+    """Make every LAPACK-backed numpy.linalg function raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK call")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "solve", "lstsq", "inv", "pinv",
+                 "cholesky", "qr", "det", "slogdet", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+class TestStoredDecomposition:
+    """A record decomposes cov_b0_b2 once; the bounds read that decomposition."""
+
+    @pytest.mark.parametrize("kind", list(Classification))
+    def test_one_eigh_per_record_none_per_call(self, monkeypatch, kind):
+        blocks_in = class_blocks(np.random.default_rng(26), 4, kind)
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        blocks = PartialIdBlocks(blocks_in.cov_b0_b2, blocks_in.cov_b1_b2,
+                                 blocks_in.var_b0_plus_b1)
+        assert len(calls) == 1
+        _no_lapack(monkeypatch)
+        bounds = [partial_id_bounds(blocks, tol) for tol in (1e-9, 1e-6, 1e-3)]
+        assert classify_randomness(blocks) is bounds[0].classification is kind
+
+    @pytest.mark.parametrize("name", ["cov_b0_b2", "cov_b1_b2", "eigenvalues", "eigenvectors"])
+    def test_stored_arrays_are_read_only(self, name):
+        blocks = class_blocks(np.random.default_rng(3), 4, Classification.INTERVAL)
+        a = {"cov_b0_b2": blocks.cov_b0_b2, "cov_b1_b2": blocks.cov_b1_b2,
+             "eigenvalues": blocks.eig[0], "eigenvectors": blocks.eig[1]}[name]
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+    def test_caller_arrays_stay_writable(self):
+        C, r = np.eye(2), np.array([0.1])
+        PartialIdBlocks(C, r, 1.0)
+        C[0, 0], r[0] = 2.0, 0.2
+
+    def test_replace_decomposes_the_new_record(self):
+        rng = np.random.default_rng(7)
+        for kind in Classification:
+            blocks = class_blocks(rng, 3, kind)
+            v = blocks.var_b0_plus_b1
+            for changes in ({"var_b0_plus_b1": v + 0.3}, {"var_b0_plus_b1": 2.0 * v},
+                            {"cov_b0_b2": 2.0 * blocks.cov_b0_b2, "var_b0_plus_b1": 2.0 * v}):
+                fields = {"cov_b0_b2": blocks.cov_b0_b2.copy(),
+                          "cov_b1_b2": blocks.cov_b1_b2.copy(), "var_b0_plus_b1": v, **changes}
+                bounds = []
+                for record in (dataclasses.replace(blocks, **changes), PartialIdBlocks(**fields)):
+                    try:
+                        bounds.append(partial_id_bounds(record))
+                    except InfeasibleError as exc:
+                        bounds.append(str(exc))
+                assert bounds[0] == bounds[1]

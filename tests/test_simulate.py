@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -64,6 +65,14 @@ class TestConfig:
             SimConfig(n=100, seed=-1)
         with pytest.raises(DomainError):
             SimConfig(n=100, sigma1=np.diag([1.0, 1.0, 1.0, -1.0]))
+
+    @pytest.mark.parametrize("name", ["replications", "pilot_replications"])
+    def test_replication_counts_are_bounded(self, name):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"at most {simulate.MAX_REPLICATIONS}"):
+            SimConfig(n=100, **{name: 1e15})
+        assert time.perf_counter() - start < 1.0
+        assert getattr(SimConfig(n=100, **{name: simulate.MAX_REPLICATIONS}), name) == 10**6
 
     @pytest.mark.parametrize("p", [5, 6, 10])
     def test_support_size_always_eight(self, p):
