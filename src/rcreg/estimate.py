@@ -52,6 +52,7 @@ from .errors import (
     number_array,
 )
 from .halfvec import half_dim, min_eigenvalue, numeric_rank, unvec_half, v_transform_rows
+from .identify import SupportSpec, check_identified
 
 __all__ = [
     "Dataset",
@@ -279,13 +280,25 @@ class SecondStage:
                 "no pseudo-inverse fallback is provided, collect more data or drop "
                 "covariates"
             )
-        mu_hat = ols(data.Y, data.X)
-        ysig = _squared_residuals(data, mu_hat)
-        rows = _design_blocks(data.X, ysig)
-        G, b, n = _gram(rows())
+        try:
+            mu_hat = ols(data.Y, data.X)
+            ysig = _squared_residuals(data, mu_hat)
+            rows = _design_blocks(data.X, ysig)
+            G, b, n = _gram(rows())
+            init = _ols(G, b, n, rows())
+        except SingularDesignError as exc:  # run only here, so a fit that succeeds pays nothing
+            levels = [np.unique(w).tolist() for w in data.X[:, 1:].T]
+            few = [(j, len(levels[j - 1])) for j in
+                   check_identified(SupportSpec(tuple(levels))).deficient_coordinates]
+            if not few:
+                raise
+            raise SingularDesignError(f"{exc}: " + ", ".join(
+                f"w{j} takes {m} distinct value{'s' * (m != 1)}" for j, m in few)
+                + "; a covariate needs 3 for its variance to be identified; see rcreg bounds"
+            ) from None
         mask = np.ones(d, dtype=bool)
         mask[0] = penalize_intercept_variance
-        return cls(mu_hat, ysig, _ols(G, b, n, rows()), mask, G, b)
+        return cls(mu_hat, ysig, init, mask, G, b)
 
     def lambda_max(self) -> float:
         """:func:`lambda_max` of this stage."""

@@ -127,7 +127,8 @@ class PartialIdBlocks:
 
     ``cov_b0_b2`` is symmetrized and refused when its smallest eigenvalue is below
     -1e-10 * max(1, max_ij |C_ij|), a cut free of units.  ``eig`` keeps its ``np.linalg.eigh``
-    (eigenvalues ascending, eigenvectors); it and both covariances are read-only.
+    (eigenvalues ascending; eigenvectors column-major), which a 1 x 1 block gets without
+    LAPACK as (C[0], [[1.0]]); it and both covariances are read-only.
     """
 
     cov_b0_b2: np.ndarray
@@ -144,7 +145,8 @@ class PartialIdBlocks:
         if np.max(np.abs(C - C.T)) > 1e-12 * scale:
             raise DomainError("cov_b0_b2 is not symmetric")
         C = (C + C.T) / 2.0
-        lam, V = np.linalg.eigh(C)
+        lam, V = (C[0], np.ones((1, 1))) if C.shape[0] == 1 else np.linalg.eigh(C)
+        V = np.asfortranarray(V)
         if lam[0] < -1e-10 * scale:
             raise DomainError(
                 f"cov_b0_b2 is not positive semidefinite (min eigenvalue {lam[0]:.3e})"
@@ -321,17 +323,18 @@ def partial_id_bounds(blocks: PartialIdBlocks, tol: float = 1e-9) -> VarianceBou
         Unless ``tol`` is finite and positive.
     """
     check_tol(tol)
-    F = blocks.cov_b0_b2
-    u0 = np.array([(blocks.var_b0_plus_b1 - F[0, 0]) / 2.0, *blocks.cov_b1_b2.tolist()])
+    u = [(blocks.var_b0_plus_b1 - blocks.cov_b0_b2.item(0)) / 2.0, *blocks.cov_b1_b2.tolist()]
+    u0, umax, slack = np.array(u), max(map(abs, u)), 10.0 * tol
     lam, V = blocks.eig
-    # lam ascends: V's first k columns span the kernel; F order fixes the products' last digits
-    k = bisect.bisect_right(lam.tolist(), max(tol, 1e-12 * max(1.0, float(lam[-1]))))
-    kernel, V, lam = np.asfortranarray(V[:, :k]), np.asfortranarray(V[:, k:]), lam[k:]
-    w, r = kernel[0], u0 @ kernel  # k'u(s) = r - (s/2) w, one entry per kernel vector
+    lams = lam.tolist()
+    # lam ascends: V's first k columns span the kernel.  V is column-major, so both column
+    # slices are too, and the products' last digits are those of Fortran order.
+    k = bisect.bisect_right(lams, max(tol, 1e-12 * max(1.0, lams[-1])))
+    w, r = (V[0, :k], u0 @ V[:, :k]) if k else ((), ())  # k'u(s) = r - (s/2) w, per kernel vector
     loads = k > 0 and max(map(abs, w.tolist())) > 1e-8
-    c, a = V[0], u0 @ V  # e1 and u0 in the range eigenbasis
-    h1, g1, ug = float(c @ (c / lam)), float(c @ (a / lam)), float(a @ (a / lam))
-    slack, umax = 10.0 * tol, max(map(abs, u0.tolist()))
+    c, a, lam = V[0, k:], u0 @ V[:, k:], lam[k:]  # e1 and u0 in the range eigenbasis
+    a_lam = a / lam
+    h1, g1, ug = float(c @ (c / lam)), float(c @ a_lam), float(a @ a_lam)
     s = 2.0 * float(w @ r) / float(w @ w) if loads else 0.0
     s = 0.0 if abs(s) < slack else s
     allow = slack * max(1.0, umax, s)

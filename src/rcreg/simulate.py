@@ -292,19 +292,53 @@ def _worker_count() -> int:
     return int(env) if env else (os.cpu_count() or 1)
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads(n: int) -> int:
+    """Set numpy's bundled OpenBLAS to ``n`` threads and return its former count; 0, setting
+    nothing, if the user set one of ``_BLAS_THREAD_VARS`` or numpy carries no such library."""
+    if any(os.environ.get(name, "").strip() for name in _BLAS_THREAD_VARS):
+        return 0
+    import ctypes
+    import glob
+
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
+                                       "libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(path)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        before = get()
+        put(n)
+        return before
+    return 0
+
+
 def _run_jobs(fn, jobs: list) -> list:
     """``[fn(job) for job in jobs]``, in order, on a pool of up to ``_worker_count()``
     workers, one per job at most: the one place a pool is sized.  With one, in this process."""
     workers = max(1, min(_worker_count(), len(jobs)))
     if workers == 1:
         return [fn(job) for job in jobs]
+    from multiprocessing import get_context
+
     chunk, module = max(1, len(jobs) // (4 * workers)), sys.modules[__name__]
-    with module.ProcessPoolExecutor(max_workers=workers) as pool:
-        try:
+    # Workers forked while this process runs one BLAS thread keep that count, so w workers
+    # run w BLAS threads, not w times the CPU count; set in each worker, the count would
+    # restart OpenBLAS's threads there (a fifth slower CSV parse).  Fork is named so that a
+    # newer Python's default cannot change it: workers start with numpy loaded and see this
+    # process's modules as they are.
+    before = _blas_threads(1)
+    try:
+        with module.ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
             return list(pool.map(fn, jobs, chunksize=chunk))
-        except module.BrokenProcessPool:
-            raise RcregError("a worker process died, perhaps for want of memory; "
-                             "RCREG_THREADS=1 runs the work in this process") from None
+    except module.BrokenProcessPool:
+        raise RcregError("a worker process died, perhaps for want of memory; "
+                         "RCREG_THREADS=1 runs the work in this process") from None
+    finally:
+        if before:
+            _blas_threads(before)
 
 
 def __getattr__(name: str):

@@ -367,6 +367,30 @@ def _die(*args):
 
 
 class TestFit:
+    @pytest.mark.parametrize("columns,stage_cols,reason", [
+        (lambda w, k: [w, k % 2], 6, "w2 takes 2 distinct values"),
+        (lambda w, k: [w, 0.0 * k + 3.0], 3, "w2 takes 1 distinct value"),
+        (lambda w, k: [k % 2, w, 0.0 * k], 4,
+         "w1 takes 2 distinct values, w3 takes 1 distinct value"),
+        (lambda w, k: [w, k % 3 - 1.0, 2.0 * (k % 3) - 2.0], 4, None),
+    ], ids=["binary", "constant", "binary-and-constant", "collinear-three-level"])
+    def test_singular_design_names_a_covariate_with_too_few_levels(self, tmp_path, capsys,
+                                                                  columns, stage_cols, reason):
+        """A covariate with fewer than three levels leaves the variances unidentified, and
+        the error says so; collinear three-level covariates keep the bare message."""
+        rng = np.random.default_rng(6)
+        k = np.arange(2000.0)
+        W = np.column_stack(columns(rng.uniform(-1.0, 1.0, k.size), k))
+        Y = 1.0 + W.sum(axis=1) + rng.normal(size=k.size)
+        head = "y," + ",".join(f"w{j}" for j in range(1, W.shape[1] + 1))
+        lines = [head] + [",".join(map(repr, row)) for row in np.column_stack([Y, W]).tolist()]
+        code, out, err = run_cli(["fit", "--data", write(tmp_path / "d.csv", "\n".join(lines)),
+                                  "--auto"], capsys)
+        singular = f"rcreg: design with shape (2000, {stage_cols}) is numerically singular"
+        assert code == 1 and out == ""
+        assert err == (f"{singular}\n" if reason is None else f"{singular}: {reason}; a covariate "
+                       "needs 3 for its variance to be identified; see rcreg bounds\n")
+
     def test_noiseless_recovers_means(self, tmp_path, capsys):
         data, mu = _noiseless_csv(tmp_path)
         code, out, _ = run_cli(["fit", "--data", data, "--lambda", "0.001"], capsys)

@@ -494,3 +494,104 @@ class TestStoredDecomposition:
                     except InfeasibleError as exc:
                         bounds.append(str(exc))
                 assert bounds[0] == bounds[1]
+
+
+def _ints(rows, cols, seed):
+    """Small whole numbers, so the blocks built from them are exact in any BLAS."""
+    return np.random.default_rng(seed).integers(-3, 4, size=(rows, cols)).astype(float)
+
+
+def branch_blocks(p):
+    """One (C, cross, Var(B0 + B1)) per branch of the closed form at p."""
+    q, x = p - 1, np.arange(1.0, p) / 4.0
+    C = (A := _ints(q, q + 1, p)) @ A.T
+    out = {"full_rank": (C, np.arange(1.0, q) / 2.0, C[0, 0] + 0.75),
+           "full_rank_interval": (C, np.zeros(q - 1), C[0, 0])}
+    if p > 2:
+        out["infeasible"] = (C, 10.0 * np.sqrt(np.diag(C)[1:]) + 3.0, C[0, 0] + 0.5)
+    C = (A := _ints(q, q - 1, 10 + p)) @ A.T
+    u = C @ x
+    out["kernel_on_b0"] = (C, u[1:], C[0, 0] + 2.0 * u[0] + float(x @ u) + 1.0)
+    out["kernel_on_b0_zero"] = (C, np.zeros(q - 1), C[0, 0])
+    if p > 2:  # P projects out a kernel vector with no B0 entry
+        P = np.eye(q)
+        P[1:3, 1:3] -= 0.5 if q > 2 else 1.0
+        C = P @ ((A := _ints(q, q + 1, 20 + p)) @ A.T) @ P
+        u = C @ x / 16.0
+        out["kernel_off_b0"] = (C, u[1:], C[0, 0] + 2.0 * u[0])
+    return out
+
+
+FP, IV, FZ = "FORCED_POSITIVE", "INTERVAL", "FORCED_ZERO"
+# float.hex of (lower, upper), with the class, or None for an infeasible block
+GOLDEN_BOUNDS = {
+    2: {"full_rank": ("0x1.133e14d409454p-6", "0x1.0bdd983d657eep+5", FP),
+        "full_rank_interval": ("0x0.0p+0", "0x1.0000000000000p+5", IV),
+        "kernel_on_b0": ("0x1.0000000000000p+0", "0x1.0000000000000p+0", FP),
+        "kernel_on_b0_zero": ("0x0.0p+0", "0x0.0p+0", FZ)},
+    3: {"full_rank": ("0x1.0ab73019e4b44p-5", "0x1.11dea919fcc38p+6", FP),
+        "full_rank_interval": ("0x0.0p+0", "0x1.0aaaaaaaaaaabp+6", IV),
+        "infeasible": None,
+        "kernel_on_b0": ("0x1.8400000000000p+2", "0x1.8400000000000p+2", FP),
+        "kernel_on_b0_zero": ("0x0.0p+0", "0x0.0p+0", FZ),
+        "kernel_off_b0": ("0x1.5a9ae985dfba5p-9", "0x1.657a959459e88p+5", FP)},
+    4: {"full_rank": ("0x1.b94113a730daep-3", "0x1.3f3828835c489p+4", FP),
+        "full_rank_interval": ("0x0.0p+0", "0x1.1fffffffffff9p+4", IV),
+        "infeasible": None,
+        "kernel_on_b0": ("0x1.a7ffffffffffbp+2", "0x1.a7ffffffffffbp+2", FP),
+        "kernel_on_b0_zero": ("0x0.0p+0", "0x0.0p+0", FZ),
+        "kernel_off_b0": ("0x1.92237fdd98cc9p-8", "0x1.7b9b772008985p+2", FP)},
+    5: {"full_rank": ("0x1.449858243681dp-3", "0x1.0afba20c31441p+4", FP),
+        "full_rank_interval": ("0x0.0p+0", "0x1.007a1de4a6a34p+4", IV),
+        "infeasible": None,
+        "kernel_on_b0": ("0x1.e80000000000ep+2", "0x1.e80000000000ep+2", FP),
+        "kernel_on_b0_zero": ("0x0.0p+0", "0x0.0p+0", FZ),
+        "kernel_off_b0": ("0x1.55335ce031af9p-4", "0x1.b18010fc3a917p+5", FP)},
+    6: {"full_rank": ("0x1.28fb2faacc3dbp-1", "0x1.b2a616626bf94p+2", FP),
+        "full_rank_interval": ("0x0.0p+0", "0x1.057c57c57c5d3p+2", IV),
+        "infeasible": None,
+        "kernel_on_b0": ("0x1.7d00000000001p+5", "0x1.7d00000000001p+5", FP),
+        "kernel_on_b0_zero": ("0x0.0p+0", "0x0.0p+0", FZ),
+        "kernel_off_b0": ("0x1.80d54a864eddep-2", "0x1.acd21de080cc3p+5", FP)},
+}
+
+
+class TestGoldenBounds:
+    """Bounds pinned to the bit on every branch: a full-rank F (kernel size k = 0), a
+    kernel that loads on B0 or does not, and an infeasible block."""
+
+    @pytest.mark.parametrize("p", range(2, 7))
+    def test_every_branch_keeps_its_bits(self, p):
+        blocks = branch_blocks(p)
+        assert blocks.keys() == GOLDEN_BOUNDS[p].keys()
+        for name, (C, cross, v01) in blocks.items():
+            record = PartialIdBlocks(C, cross, v01)
+            lam, V = record.eig
+            k = int(np.sum(lam <= 1e-9))
+            assert k == name.startswith("kernel"), name
+            assert (k > 0 and np.max(np.abs(V[0, :k])) > 1e-8) == name.startswith("kernel_on"), name
+            want = GOLDEN_BOUNDS[p][name]
+            if want is None:
+                with pytest.raises(InfeasibleError):
+                    partial_id_bounds(record)
+                continue
+            got = partial_id_bounds(record)
+            assert (got.lower.hex(), got.upper.hex(), got.classification.value) == want, name
+            assert classify_randomness(record).value == want[2]
+
+
+class TestStoredLayout:
+    def test_p2_record_makes_no_lapack_call(self, monkeypatch):
+        _no_lapack(monkeypatch)
+        for C, v01 in (([[0.0]], 1.0), ([[2.5]], 0.5), ([[1e-300]], 3.0)):
+            record = PartialIdBlocks(np.array(C), np.zeros(0), v01)
+            assert record.eig[0].tolist() == C[0] and record.eig[1].tolist() == [[1.0]]
+            partial_id_bounds(record)
+        with pytest.raises(DomainError, match=r"^cov_b0_b2 is not positive semidefinite "
+                                              r"\(min eigenvalue -1.000e-03\)$"):
+            PartialIdBlocks(np.array([[-1e-3]]), np.zeros(0), 1.0)
+
+    @pytest.mark.parametrize("p", range(2, 7))
+    def test_eigenvectors_read_only_and_column_major(self, p):
+        V = class_blocks(np.random.default_rng(p), p, Classification.INTERVAL).eig[1]
+        assert V.flags.f_contiguous and not V.flags.writeable

@@ -29,6 +29,23 @@ from rcreg import (
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
+
+def _openblas(verb):
+    """numpy's bundled OpenBLAS ``scipy_openblas_{verb}_num_threads64_``, or None."""
+    import ctypes
+    import glob
+
+    for path in glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*.so"):
+        fn = getattr(ctypes.CDLL(path), f"scipy_openblas_{verb}_num_threads64_")
+        fn.argtypes, fn.restype = ([], ctypes.c_int) if verb == "get" else ([ctypes.c_int], None)
+        return fn
+    return None
+
+
+def _blas_threads(_job):
+    return _openblas("get")()
+
+
 _TREND_CACHE: dict = {}
 
 
@@ -276,8 +293,9 @@ class TestMonteCarlo:
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, *, mp_context):
                 sizes.append(max_workers)
+                assert mp_context.get_start_method() == "fork"
 
             def __enter__(self):
                 return self
@@ -293,6 +311,27 @@ class TestMonteCarlo:
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
         assert simulate._run_jobs(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]
         assert sizes == [3 if value.strip() else 2]
+
+    @pytest.mark.parametrize("user_value", [None, "2"])
+    def test_pool_workers_run_one_blas_thread_unless_the_user_set_one(self, monkeypatch,
+                                                                      user_value):
+        """The caller runs two OpenBLAS threads; its workers run one, or, when
+        OPENBLAS_NUM_THREADS is set, what the caller runs.  The caller keeps its count."""
+        if _openblas("get") is None:
+            pytest.skip("numpy carries no bundled OpenBLAS")
+        for name in simulate._BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        if user_value is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", user_value)
+        monkeypatch.setenv("RCREG_THREADS", "2")
+        before = _openblas("get")()
+        _openblas("set")(2)
+        try:
+            counts = simulate._run_jobs(_blas_threads, [0, 1, 2, 3])
+            assert _openblas("get")() == 2
+        finally:
+            _openblas("set")(before)
+        assert counts == [1 if user_value is None else 2] * 4
 
     def test_nonconverged_replications_counted_as_failures(self, monkeypatch):
         monkeypatch.setattr(estimate, "MAX_BREAKPOINTS", 1)
