@@ -22,9 +22,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import RcregError
+from .errors import DomainError, RcregError
 # Unused names here are kept for perfbench/tracing.py, which wraps them.
 from .estimate import (  # noqa: F401
+    _OVERFLOW,
     Dataset,
     SecondStage,
     build_second_stage,
@@ -253,7 +254,10 @@ def _fit_path(stage: SecondStage, pick: bool):
     lmax = stage.lambda_max()
     grid = np.geomspace(lmax, lmax * 1e-4, 50) if lmax > 0 else np.zeros(1)
     sols = stage.path(grid)
-    n, yy, best, best_bic = stage.ysig.size, float(stage.ysig @ stage.ysig), 0, math.inf
+    with np.errstate(over="ignore"):
+        n, yy, best, best_bic = stage.ysig.size, float(stage.ysig @ stage.ysig), 0, math.inf
+    if pick and not math.isfinite(yy):  # every BIC would be inf, and the pick grid[0]
+        raise DomainError(_OVERFLOW)
     for k, sol in enumerate(sols if pick else []):
         mse = yy / n + float(sol.beta @ (stage.G @ sol.beta - 2.0 * stage.b))
         bic = n * math.log(max(mse, 1e-300 / n)) + math.log(n) * sol.active_set.size

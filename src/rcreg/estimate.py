@@ -20,10 +20,11 @@ n x p(p+1)/2 design is formed ``_BLOCK_ROWS`` rows at a time, never whole.
 Data reach the solvers, :class:`Dataset` and :func:`witness_check` by one door:
 :func:`_data_blocks` refuses a caller's non-finite or mismatched ``(Y, X)`` before
 any product, and :func:`_gram` forms the Gram form ``(X'X/n, X'Y/n)`` of any row
-blocks, once per stage or per call.  Every Gram matrix is judged once by one
-rank rule, :func:`_unit_diagonal`: a stage's walks rely on the whole-Gram test
-of its least squares fit, and the raw-data solvers test the coordinates not
-excluded.
+blocks, once per stage or per call, or with per-row weights W the form ``X'WX/n`` of
+:func:`sandwich`'s middle matrix; it refuses every form that overflows.  Every Gram
+matrix is judged once by one rank rule, :func:`_unit_diagonal`: a stage's walks rely
+on the whole-Gram test of its least squares fit, and the raw-data solvers test the
+coordinates not excluded.
 
 The solver follows the exact piecewise-linear solution path in Gram form
 (X'X/n, X'y/n): one walk serves a whole grid of levels, and a single level
@@ -52,7 +53,6 @@ from .errors import (
     number_array,
 )
 from .halfvec import half_dim, min_eigenvalue, numeric_rank, unvec_half, v_transform_rows
-from .identify import SupportSpec, check_identified
 
 __all__ = [
     "Dataset",
@@ -191,10 +191,13 @@ def _data_blocks(Y, X, use: str = "the lasso solver"):
 
 
 def _gram(blocks):
-    """``(X'X/n, X'Y/n, n)`` summed over the ``(X, Y)`` row ``blocks``, n rows in all: the
+    """``(X'WX/n, X'WY/n, n)`` over the n rows of ``(X, Y[, w])`` ``blocks``, W = diag(w) or I: the
     one place a Gram form is made from data.  Finite data whose products overflow are refused."""
+    def products(X, Y, w=None):  # a block's weighted copy L dies with this call
+        L = X if w is None else X * w[:, None]
+        return L.T @ X, L.T @ Y, X.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        XX, XY, rows = zip(*((X.T @ X, X.T @ Y, X.shape[0]) for X, Y in blocks))
+        XX, XY, rows = zip(*(products(*block) for block in blocks))
         n = sum(rows)
         G, b = reduce(np.add, XX) / n, reduce(np.add, XY) / n
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(b))):
@@ -241,7 +244,8 @@ def build_second_stage(data: Dataset, mu_hat) -> SecondStageDesign:
 def _squared_residuals(data: Dataset, mu_hat) -> np.ndarray:
     """Squared first-stage residuals at ``mu_hat``, which must have length p."""
     resid = data.Y - data.X @ _vector(mu_hat, data.p, "mu_hat")
-    return resid * resid
+    with np.errstate(over="ignore"):  # an infinite square is refused by stage two's _gram
+        return resid * resid
 
 
 def _design_blocks(X, ysig):
@@ -287,9 +291,8 @@ class SecondStage:
             G, b, n = _gram(rows())
             init = _ols(G, b, n, rows())
         except SingularDesignError as exc:  # run only here, so a fit that succeeds pays nothing
-            levels = [np.unique(w).tolist() for w in data.X[:, 1:].T]
-            few = [(j, len(levels[j - 1])) for j in
-                   check_identified(SupportSpec(tuple(levels))).deficient_coordinates]
+            few = [(j, m) for j, m in enumerate((np.unique(w).size for w in data.X[:, 1:].T), 1)
+                   if m < 3]
             if not few:
                 raise
             raise SingularDesignError(f"{exc}: " + ", ".join(
@@ -638,7 +641,8 @@ def sandwich(data: Dataset, fit: MomentFit) -> SandwichEstimate:
     The outer matrix is the stage's Gram ``G`` of the transformed design; the
     middle matrix reweights it by squared second-stage residuals, whose
     conditional mean matches the heteroscedastic noise level row by row.
-    It is summed over row blocks of the fitted data's design, never held whole;
+    It is the weighted :func:`_gram` of row blocks of the fitted data's design,
+    never held whole, and refused by :class:`DomainError` if it overflows;
     data whose squared first-stage residuals differ from the stage's are refused.
     The reported block inverts the Gram restricted to the active set, which
     is the limit law of the selected coordinates.  Treat the output as a
@@ -652,9 +656,8 @@ def sandwich(data: Dataset, fit: MomentFit) -> SandwichEstimate:
     if not np.array_equal(_squared_residuals(data, stage.mu_hat), stage.ysig):
         raise DomainError("data differ from those the fit was made on: their squared "
                           "residuals at its mu_hat are not the stage's")
-    rows = _design_blocks(data.X, stage.ysig)
-    b_hat = reduce(np.add, ((X * ((Y - X @ beta) ** 2)[:, None]).T @ X
-                            for X, Y in rows())) / data.n
+    b_hat = _gram((Z, Z[:, :0], (y - Z @ beta) ** 2)  # no Y: Z'W ysig would overflow first
+                  for Z, y in _design_blocks(data.X, stage.ysig)())[0]
     b_hat = (b_hat + b_hat.T) / 2.0
     S = fit.solution.active_set
     if S.size == 0:

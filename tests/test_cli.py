@@ -373,7 +373,9 @@ class TestFit:
         (lambda w, k: [k % 2, w, 0.0 * k], 4,
          "w1 takes 2 distinct values, w3 takes 1 distinct value"),
         (lambda w, k: [w, k % 3 - 1.0, 2.0 * (k % 3) - 2.0], 4, None),
-    ], ids=["binary", "constant", "binary-and-constant", "collinear-three-level"])
+        (lambda w, k: [w, np.array([0.0, 1e-12, 1.0])[k.astype(int) % 3]], 6, None),
+    ], ids=["binary", "constant", "binary-and-constant", "collinear-three-level",
+            "three-levels-two-close"])
     def test_singular_design_names_a_covariate_with_too_few_levels(self, tmp_path, capsys,
                                                                   columns, stage_cols, reason):
         """A covariate with fewer than three levels leaves the variances unidentified, and
@@ -446,19 +448,41 @@ class TestFit:
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [f"rcreg: {data}: non-finite value at line 7"]
 
-    def test_overflowing_cross_products_one_line(self, tmp_path):
+    @staticmethod
+    def _overflowing_csv(tmp_path, scaled):
+        """A finite CSV whose covariate w2, response, or residual spread (as 1 + w1^2) is huge."""
         rng = np.random.default_rng(7)
-        rows = [",".join(repr(float(v)) for v in (y, w1, 1e160 * w2))
-                for y, w1, w2 in rng.normal(size=(50, 3))]
-        data = write(tmp_path / "d.csv", "y,w1,w2\n" + "\n".join(rows) + "\n")
+        y, w1, w2 = rng.normal(size=(3000 if scaled == "residual" else 50, 3)).T
+        if scaled == "residual":
+            y = 1.0 + 2.0 * w1 + 3.0 * w2 + 1e76 * y * (1.0 + w1 * w1)
+        columns = (1e160 * y if scaled == "y" else y, w1, 1e160 * w2 if scaled == "w2" else w2)
+        rows = [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
+        return write(tmp_path / "d.csv", "y,w1,w2\n" + "\n".join(rows) + "\n")
+
+    def test_overflowing_cross_products_one_line(self, tmp_path):
+        """A Gram (w2), the squared residuals (y) or the BIC's sum of their squares (residual)
+        overflow: one error line, no numpy warning."""
+        for scaled, level in [("w2", ["--lambda", "0"]), ("y", ["--lambda", "0"]),
+                              ("residual", ["--auto"])]:
+            data = self._overflowing_csv(tmp_path, scaled)
+            proc = subprocess.run(
+                [sys.executable, "-m", "rcreg", "fit", "--data", data, *level],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 1 and proc.stdout == ""
+            assert proc.stderr.splitlines() == [
+                "rcreg: the data are finite, but their cross products overflow; rescale the "
+                "covariates"
+            ]
+
+    def test_a_level_fits_where_the_auto_bic_overflows(self, tmp_path):
+        data = self._overflowing_csv(tmp_path, "residual")
         proc = subprocess.run(
-            [sys.executable, "-m", "rcreg", "fit", "--data", data, "--lambda", "0"],
+            [sys.executable, "-m", "rcreg", "fit", "--data", data, "--lambda", "1"],
             capture_output=True, text=True,
         )
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            "rcreg: the data are finite, but their cross products overflow; rescale the covariates"
-        ]
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["lambda_used"] == 1
 
     def test_nonconvergence_exit_one(self, tmp_path, capsys, monkeypatch):
         data, _ = _noiseless_csv(tmp_path, seed=4)

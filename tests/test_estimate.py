@@ -229,14 +229,20 @@ class TestOls:
             ols(np.arange(10.0), X)
 
     def test_overflowing_cross_products_named(self):
-        """Finite X whose Gram (or, for the KKT residual, X beta) overflows: the error
-        says so, with no numpy warning."""
+        """Finite X whose Gram (or, for the KKT residual, X beta; for the sandwich, its
+        residual-weighted Gram) overflows: the error says so, with no numpy warning."""
         X = np.ones((6, 2))
         X[:, 1] = np.arange(6) * 1e200
+        rng = np.random.default_rng(9)
+        wide = np.concatenate([np.ones((3000, 1)), rng.normal(size=(3000, 2))], axis=1)
+        noisy = Dataset(X=wide, Y=wide @ [1.0, 2.0, 3.0]
+                        + 1e76 * rng.normal(size=3000) * (1.0 + wide[:, 1] ** 2))
+        fit = fit_moments(noisy, 1.0)
         for call in (lambda: ols(np.ones(6), X),
                      lambda: witness_check(X, np.ones(6), [0, 1], 1.0, np.ones(2)),
                      lambda: kkt_residual(np.ones(3), np.ones((3, 1)) * 1e200, [1e200], 1.0,
-                                          np.ones(1))):
+                                          np.ones(1)),
+                     lambda: sandwich(noisy, fit)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DomainError, match="finite, but their cross products overflow"):
@@ -533,15 +539,28 @@ class TestSandwich:
         return (c_hat + c_hat.T) / 2.0, (b_hat + b_hat.T) / 2.0
 
     @pytest.mark.parametrize("n", [estimate._BLOCK_ROWS, 2 * estimate._BLOCK_ROWS + 3])
-    def test_row_blocks_give_the_whole_design_sums(self, n):
+    def test_row_blocks_give_the_whole_design_sums(self, monkeypatch, n):
         data = dgp_sample(SimConfig(n=n, p=5, seed=16), 0)
         fit = fit_moments(data, 0.5)
+        shapes = _counting_grams(monkeypatch)
         est = sandwich(data, fit)
+        assert shapes == [(15, 15)]
         c_hat, b_hat = self._on_the_whole_design(data, fit)
         if n <= estimate._BLOCK_ROWS:
             assert np.array_equal(fit.stage.G, c_hat) and np.array_equal(est.b_hat, b_hat)
         for ours, theirs in [(fit.stage.G, c_hat), (est.b_hat, b_hat)]:
             assert np.max(np.abs(ours - theirs)) <= 1e-12 * np.max(np.abs(theirs))
+
+    def test_middle_matrix_read_where_its_response_product_overflows(self):
+        """Residuals near 1e60: the middle matrix (about 1e240) is finite, and so is the
+        sandwich, though Z'W ysig (about 1e360) would overflow."""
+        rng = np.random.default_rng(9)
+        X = np.concatenate([np.ones((3000, 1)), rng.normal(size=(3000, 2))], axis=1)
+        data = Dataset(X=X, Y=X @ [1.0, 2.0, 3.0]
+                       + 1e60 * rng.normal(size=3000) * (1.0 + X[:, 1] ** 2))
+        est = sandwich(data, fit_moments(data, 1.0))
+        assert est.avar_s.size and np.all(np.isfinite(est.avar_s))
+        assert np.all(np.isfinite(est.b_hat)) and est.b_hat.max() > 1e200
 
     def test_sandwich_holds_a_fraction_of_the_design(self):
         data = dgp_sample(SimConfig(n=200_000, p=10, seed=15), 0)
