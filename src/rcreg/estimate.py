@@ -33,6 +33,7 @@ block as coordinates join and leave.  A level has converged when the walk
 reached it and its Gram KKT residual is at most ``KKT_TOL * max(1,
 max|X'y/n|)``, after refactoring that inverse if need be.  The residual is in
 the units of X'y/n, so the verdict does not depend on the response's units.
+A walk whose first breakpoint (lambda_max) overflows is refused like a form that does.
 """
 
 from __future__ import annotations
@@ -487,7 +488,7 @@ def _walk(G, b, init, penalize_mask, grid) -> list[LassoSolution]:
         raise DomainError("lambda grid must be sorted in descending order")
     tol = KKT_TOL * max(1.0, float(np.max(np.abs(b), initial=0.0)))
     segments, free = _segments(G, b, scale, excluded), ~excluded
-    seg = next(segments)
+    seg = _first(segments)
     budget = MAX_BREAKPOINTS
     solutions = []
     for lam in grid:
@@ -545,8 +546,16 @@ def _walk_args(form, init, penalize_mask):
     return G, b, init, penalize_mask
 
 
+def _first(segments) -> _Segment:
+    """The first segment of a walk, refused before numpy warns if its level lambda_max overflows."""
+    with np.errstate(over="ignore"):  # around one next(), never across a yield
+        if np.isfinite((seg := next(segments)).lo):
+            return seg
+    raise DomainError(_OVERFLOW)
+
+
 def _lambda_max(G, b, init, penalize_mask) -> float:
-    return float(next(_segments(G, b, *_penalty(init, penalize_mask, G.shape[0]))).lo)
+    return float(_first(_segments(G, b, *_penalty(init, penalize_mask, G.shape[0]))).lo)
 
 
 def lambda_path(Y, X, grid, init, penalize_mask=None) -> list[LassoSolution]:

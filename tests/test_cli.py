@@ -450,20 +450,23 @@ class TestFit:
 
     @staticmethod
     def _overflowing_csv(tmp_path, scaled):
-        """A finite CSV whose covariate w2, response, or residual spread (as 1 + w1^2) is huge."""
+        """A finite CSV whose covariate w2, response, or residual spread (as 1 + w1^2) is huge;
+        ``walk`` spreads the residuals so far that the path's first breakpoint overflows."""
         rng = np.random.default_rng(7)
-        y, w1, w2 = rng.normal(size=(3000 if scaled == "residual" else 50, 3)).T
-        if scaled == "residual":
-            y = 1.0 + 2.0 * w1 + 3.0 * w2 + 1e76 * y * (1.0 + w1 * w1)
+        spread = {"residual": 1e76, "walk": 3e77}.get(scaled)
+        y, w1, w2 = rng.normal(size=(3000 if spread else 50, 3)).T
+        if spread:
+            y = 1.0 + 2.0 * w1 + 3.0 * w2 + spread * y * (1.0 + w1 * w1)
         columns = (1e160 * y if scaled == "y" else y, w1, 1e160 * w2 if scaled == "w2" else w2)
         rows = [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
         return write(tmp_path / "d.csv", "y,w1,w2\n" + "\n".join(rows) + "\n")
 
     def test_overflowing_cross_products_one_line(self, tmp_path):
-        """A Gram (w2), the squared residuals (y) or the BIC's sum of their squares (residual)
-        overflow: one error line, no numpy warning."""
+        """A Gram (w2), the squared residuals (y), the BIC's sum of their squares (residual)
+        or the walk's first breakpoint (walk) overflow: one error line, no numpy warning."""
         for scaled, level in [("w2", ["--lambda", "0"]), ("y", ["--lambda", "0"]),
-                              ("residual", ["--auto"])]:
+                              ("residual", ["--auto"]), ("walk", ["--auto"]),
+                              ("walk", ["--lambda", "1"])]:
             data = self._overflowing_csv(tmp_path, scaled)
             proc = subprocess.run(
                 [sys.executable, "-m", "rcreg", "fit", "--data", data, *level],

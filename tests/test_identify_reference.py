@@ -25,6 +25,7 @@ from rcreg import (
     partial_id_bounds,
 )
 from rcreg.identify import check_tol
+from test_partial_id import class_blocks
 
 
 def exact_rank(rows) -> int:
@@ -195,3 +196,62 @@ def test_check_identified_rank_is_the_exact_rank(supports, rank_tol):
     if math.prod(map(len, kept)) <= 64:
         product = exact_design(itertools.product(*kept))
         assert exact_rank(product) == rep.achieved_rank
+
+
+def kernel_size(blocks, tol) -> int:
+    """Eigenvalues of F at or below the kernel cut of :func:`partial_id_bounds`."""
+    lam = blocks.eig[0]
+    return int(np.sum(lam <= max(tol, 1e-12 * max(1.0, float(lam[-1])))))
+
+
+def off_b0_blocks(rng, p: int, k: int, cross: bool) -> PartialIdBlocks:
+    """Uncorrelated-style blocks whose F has a kernel of k vectors, none loading on B0;
+    ``cross`` adds a cross-covariance, which a kernel vector then contradicts."""
+    B = rng.normal(size=(p - 1, p - 1 - k))
+    B[0], B[1:, 0] = 0.0, 0.0
+    B[0, 0] = 1.0  # e1 spans a column, so the kernel is orthogonal to it
+    C = B @ B.T
+    return PartialIdBlocks(C, rng.normal(size=p - 2) if cross else np.zeros(p - 2), C[0, 0])
+
+
+def test_kernels_of_every_size_match_the_mask_form():
+    """F of every rank, so kernels of k = 1 .. p - 2 vectors, loading on B0 or not,
+    reach every outcome at every k."""
+    rng = np.random.default_rng(1029)
+    seen = {}
+    for i in range(2000):
+        p = 3 + i % 5
+        k = 1 + int(rng.integers(0, p - 2))  # F is (p - 1) x (p - 1) of rank p - 1 - k
+        blocks = (draw_blocks(rng, p, MODES[i // 5 % 4], p - 1 - k, 1.0) if i // 5 % 4 < 3
+                  else off_b0_blocks(rng, p, k, bool(rng.integers(0, 2))))
+        if blocks is not None and kernel_size(blocks, 1e-9) == k:
+            seen.setdefault(k, set()).add(assert_same_bounds(blocks, 1e-9))
+    assert seen == {k: {"<Classification.FORCED_POSITIVE", "<Classification.INTERVAL",
+                        "<Classification.FORCED_ZERO", "InfeasibleError"} for k in range(1, 6)}
+
+
+def test_tol_at_the_kernel_cut_matches_the_mask_form():
+    """``tol`` equal to an eigenvalue of F (it joins the kernel) and one ulp on either side."""
+    rng = np.random.default_rng(1030)
+    sizes = set()
+    for i in range(600):
+        p = 2 + i % 6
+        blocks = draw_blocks(rng, p, MODES[i % 3], p - int(rng.integers(0, 2)), 1.0)
+        if blocks is None:
+            continue
+        lam = [v for v in blocks.eig[0].tolist() if v > 1e-12 * max(1.0, blocks.eig[0][-1])]
+        cut = lam[int(rng.integers(0, len(lam)))]
+        for tol in (math.nextafter(cut, 0.0), cut, math.nextafter(cut, math.inf)):
+            assert_same_bounds(blocks, tol)
+        sizes.add(kernel_size(blocks, cut) - kernel_size(blocks, math.nextafter(cut, 0.0)))
+    assert sizes == {1}
+
+
+def test_benchmark_style_forced_zero_blocks_match_the_mask_form():
+    """Singular (B0, B2) blocks whose kernel loads on B0, drawn as the identify_bounds
+    benchmark draws them: the reference, and both entry points, give FORCED_ZERO."""
+    rng = np.random.default_rng(1031)
+    for i in range(300):
+        blocks = class_blocks(rng, 2 + i % 5, Classification.FORCED_ZERO)
+        assert kernel_size(blocks, 1e-9) >= 1
+        assert assert_same_bounds(blocks, 1e-9) == "<Classification.FORCED_ZERO"
