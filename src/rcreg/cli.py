@@ -246,13 +246,12 @@ def _read_dataset_csv(path: str) -> Dataset:
 
 
 def _fit_path(stage: SecondStage, pick: bool):
-    """Exact second-stage path on a 50-point grid below lmax, and its BIC pick.
+    """Exact second-stage path on the stage's grid, and its BIC pick.
 
     BIC (a data-only heuristic) is evaluated only when ``pick``; the pick is
     an index into the grid, 0 otherwise.  RSS/n = y'y/n + beta'(G beta - 2b).
     """
-    lmax = stage.lambda_max()
-    grid = np.geomspace(lmax, lmax * 1e-4, 50) if lmax > 0 else np.zeros(1)
+    grid = stage.grid()
     sols = stage.path(grid)
     with np.errstate(over="ignore"):
         n, yy, best, best_bic = stage.ysig.size, float(stage.ysig @ stage.ysig), 0, math.inf
@@ -301,6 +300,7 @@ def _write_path_csv(path: str, p: int, grid, sols) -> None:
 
 
 def _summary_payload(cfg: SimConfig, report) -> dict:
+    psd = [r.block_psd for r in report.per_rep if r.sign_ok]
     return {
         "n": cfg.n,
         "p": cfg.p,
@@ -311,6 +311,7 @@ def _summary_payload(cfg: SimConfig, report) -> dict:
         "lambda_used": report.lambda_used,
         "tuning_fallback": report.tuning_fallback,
         "sign_recovery_rate": report.sign_recovery_rate,
+        "psd_among_recoveries": sum(psd) / len(psd) if psd else None,
         "fp_histogram": {str(k): v for k, v in report.fp_histogram.items()},
         "fn_histogram": {str(k): v for k, v in report.fn_histogram.items()},
     }
@@ -341,17 +342,16 @@ def _cmd_simulate(args) -> int:
     cfgs = [SimConfig(n=n, lam=lam, **raw) for n in n_values]
     os.makedirs(args.out, exist_ok=True)
     summaries = []
-    csv_rows = []
+    csv_rows = [("n", "rep", "sign_ok", "fp", "fn", "block_psd")]  # header first; n only in a sweep
     for cfg in cfgs:
         report = monte_carlo(cfg)
         summaries.append(_summary_payload(cfg, report))
         for i, rep in enumerate(report.per_rep):
-            csv_rows.append((cfg.n, i, int(rep.sign_ok), rep.fp, rep.fn))
+            csv_rows.append((cfg.n, i, int(rep.sign_ok), rep.fp, rep.fn, int(rep.block_psd)))
     csv_path = os.path.join(args.out, "replications.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         sweep = len(n_values) > 1
-        writer.writerow(["n", "rep", "sign_ok", "fp", "fn"] if sweep else ["rep", "sign_ok", "fp", "fn"])
         for row in csv_rows:
             writer.writerow(row if sweep else row[1:])
     payload = summaries if len(n_values) > 1 else summaries[0]

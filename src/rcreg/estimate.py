@@ -308,6 +308,12 @@ class SecondStage:
         """:func:`lambda_max` of this stage."""
         return _lambda_max(self.G, self.b, self.init, self.penalize_mask)
 
+    def grid(self) -> np.ndarray:
+        """The penalty levels read by ``rcreg fit`` and tuning: 50 log-spaced from
+        :meth:`lambda_max` down to 1e-4 of it, or ``[0.0]`` when that is 0."""
+        lmax = self.lambda_max()
+        return np.geomspace(lmax, lmax * 1e-4, 50) if lmax > 0 else np.zeros(1)
+
     def path(self, grid) -> list[LassoSolution]:
         """:func:`lambda_path` of this stage."""
         return _walk(self.G, self.b, self.init, self.penalize_mask, grid)

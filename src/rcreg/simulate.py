@@ -89,10 +89,9 @@ class SimConfig:
     replications: int = 200
     seed: int = 0
     pilot_replications: int = 100
-    grid_size: int = 50
 
     def __post_init__(self):
-        for name in ("n", "p", "replications", "seed", "pilot_replications", "grid_size"):
+        for name in ("n", "p", "replications", "seed", "pilot_replications"):
             setattr(self, name, whole_number(getattr(self, name), f"{name} must be an integer"))
         self.covariate_law = CovariateLaw(self.covariate_law)
         self.mu1 = number_array(self.mu1, "mu1 entries must be finite reals").reshape(-1)
@@ -107,8 +106,6 @@ class SimConfig:
                             ("pilot_replications", self.pilot_replications)):
             if count > MAX_REPLICATIONS:
                 raise DomainError(f"{name} must be at most {MAX_REPLICATIONS}, got {count}")
-        if self.grid_size < 1:
-            raise DomainError(f"grid_size must be >= 1, got {self.grid_size}")
         if self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
         if not is_number(self.b4):
@@ -252,28 +249,24 @@ def _pilot_hits(args) -> np.ndarray:
 def tune_lambda(cfg: SimConfig) -> TuneResult:
     """Pick the penalty whose active-set size most often matches the truth.
 
-    The grid is log-spaced over [1e-4 * lmax, lmax], with lmax computed on
-    the first pilot dataset as the level that zeroes every penalized
-    coordinate.  For each pilot dataset the grid points whose exact solution
-    converged with the correct number of penalized nonzeros are tallied; ties break
-    toward the larger penalty.  If no grid point ever hits the target the
-    grid midpoint is returned with ``fallback=True``.  Pilots after the
-    first run in parallel under the determinism contract of :func:`monte_carlo`.
+    A pilot's hits on the first pilot's :meth:`SecondStage.grid` are the levels whose exact
+    solution converged with the true count of penalized nonzeros.  With m the most hits at a
+    level and P pilots, levels with at least m - max(1, sqrt(m(P - m)/P)) hits are near-max,
+    and the pick lies midway between the first and last of them, rounded toward the smaller
+    penalty: the plateau's log-lambda centre, which shrinks with n as the adaptive lasso's
+    oracle property needs (Zou 2006).  With no hit that is the grid's midpoint, flagged
+    ``fallback``.  Pilots after the first run in parallel under the determinism contract of
+    :func:`monte_carlo`.
     """
     first = SecondStage.from_data(dgp_sample(cfg, 0, stream=_STREAM_PILOT))
     target = int(np.count_nonzero(true_moments(cfg)[1][first.penalize_mask]))
-    lmax = first.lambda_max()
-    if lmax <= 0.0:
-        return TuneResult(lam=0.0, fallback=True, grid=np.zeros(1), hits=np.zeros(1, int))
-    grid = np.geomspace(lmax, lmax * 1e-4, cfg.grid_size)
+    grid = first.grid()
     jobs = [(cfg, i, grid, target) for i in range(1, cfg.pilot_replications)]
-    rows = [_path_hits(first, grid, target)] + _run_jobs(_pilot_hits, jobs)
-    hits = np.sum(rows, axis=0)
-    if hits.max() == 0:
-        return TuneResult(
-            lam=float(grid[cfg.grid_size // 2]), fallback=True, grid=grid, hits=hits
-        )
-    return TuneResult(lam=float(grid[int(np.argmax(hits))]), fallback=False, grid=grid, hits=hits)
+    hits = np.sum([_path_hits(first, grid, target)] + _run_jobs(_pilot_hits, jobs), axis=0)
+    m, pilots = int(hits.max()), cfg.pilot_replications
+    near = np.flatnonzero(hits >= m - max(1.0, np.sqrt(m * (pilots - m) / pilots)))
+    return TuneResult(lam=float(grid[(near[0] + near[-1] + 1) // 2]), fallback=m == 0,
+                      grid=grid, hits=hits)
 
 
 def _mc_worker(args) -> RepResult | None:

@@ -238,12 +238,10 @@ def test_criterion_6_desk_scale_sign_recovery_study():
         psd_frac = sum(r.block_psd for r in ok) / len(ok)
         assert psd_frac >= 0.98, (
             f"PSD-among-recoveries is {psd_frac:.1%} (n=10^4, 200 replications), "
-            "short of the required 98%: the true covariance block's smallest "
-            "eigenvalue is 0.64 while the selected entries carry estimation "
-            "noise with standard deviations near 1.4-3.0 at this sample size, "
-            "so near-boundary draws produce indefinite blocks far more often "
-            "than 2% of the time; the guarantee is asymptotic and needs n well "
-            "above 10^5 to hold at desk scale"
+            "short of the required 98%.  The same study reads 100.0% at n=4*10^4, "
+            "so the guarantee does take hold at desk scale; what is left at "
+            "n=10^4 is the unweighted second stage, which ignores that the "
+            "squared residuals' variance grows with x (ROADMAP item 3a)"
         )
 
 

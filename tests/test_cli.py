@@ -616,7 +616,7 @@ class TestSimulate:
             b = (tmp_path / "r2" / name).read_bytes()
             assert a == b
         rows = (tmp_path / "r1" / "replications.csv").read_text().splitlines()
-        assert rows[0] == "rep,sign_ok,fp,fn"
+        assert rows[0] == "rep,sign_ok,fp,fn,block_psd"
         assert len(rows) == 6
 
     def test_sweep_mode(self, tmp_path, capsys):
@@ -626,8 +626,28 @@ class TestSimulate:
         summary = json.loads((tmp_path / "r" / "summary.json").read_text())
         assert [s["n"] for s in summary] == [400, 500, 600]
         rows = (tmp_path / "r" / "replications.csv").read_text().splitlines()
-        assert rows[0] == "n,rep,sign_ok,fp,fn"
+        assert rows[0] == "n,rep,sign_ok,fp,fn,block_psd"
         assert len(rows) == 16
+
+    def test_psd_among_recoveries_is_criterion_6s_share(self, tmp_path, capsys):
+        """``psd_among_recoveries`` and the ``block_psd`` column read each study's
+        replications as criterion 6 does, and no recovery reads null."""
+        cfg = write(tmp_path / "sim.json", SIM_CONFIG % '"n": [400, 600, 2000]')
+        code, _, _ = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "r")], capsys)
+        assert code == 0
+        summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+        rows = [line.split(",") for line in
+                (tmp_path / "r" / "replications.csv").read_text().splitlines()[1:]]
+        shares = []
+        for s in summary:
+            report = simulate.monte_carlo(simulate.SimConfig(
+                n=s["n"], p=5, lam=20.0, replications=5, seed=7))
+            ok = [r for r in report.per_rep if r.sign_ok]
+            shares.append(sum(r.block_psd for r in ok) / len(ok) if ok else None)
+            assert [int(r[-1]) for r in rows if r[0] == str(s["n"])] == [
+                int(r.block_psd) for r in report.per_rep]
+        assert [s["psd_among_recoveries"] for s in summary] == shares
+        assert shares[0] is None and 0.0 < max(shares[1:]) < 1.0
 
     def test_seed_and_replications_override(self, tmp_path, capsys):
         cfg = write(tmp_path / "sim.json", SIM_CONFIG % '"n": 500')
@@ -705,7 +725,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("field", [
         '"p": 6.5', '"replications": 2.5', '"grid_size": 2.5', '"seed": 2.5', '"seed": true',
-        '"pilot_replications": false', '"solver_tol": 0', '"solver_tol": NaN',
+        '"pilot_replications": false', '"solver_tol": 0', '"solver_tol": NaN', '"grid_size": 50',
         '"solver_max_iter": 0', '"lambda": -1', '"lambda": Infinity', '"n": 600.7',
         '"lambda": true', '"b4": true', '"b4": null', '"b4": Infinity', '"b4": "x"',
         '"b4": [1, 2]', '"mu1": [1, 2, 3, NaN]', '"mu1": [true, 2, 3, 4]', '"mu1": {"a": 1}',
@@ -727,6 +747,9 @@ class TestSimulate:
         assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
         if '"b4"' in field:
             assert "b4 must be a finite real" in proc.stderr
+        for retired in ("grid_size", "solver_tol", "solver_max_iter"):
+            if f'"{retired}"' in field:
+                assert f"unknown fields ['{retired}']" in proc.stderr
         for name in ("mu1", "sigma1"):
             if f'"{name}"' in field:
                 assert f"{name} entries must be finite reals" in proc.stderr

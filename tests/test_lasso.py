@@ -399,7 +399,7 @@ class TestRankTestPlacement:
 
     def test_tuning_and_fits_test_only_their_stages(self, monkeypatch):
         calls = _counting_rank_tests(monkeypatch)
-        cfg = SimConfig(n=2000, p=6, seed=7, pilot_replications=3, grid_size=10)
+        cfg = SimConfig(n=2000, p=6, seed=7, pilot_replications=3)
         monkeypatch.setenv("RCREG_THREADS", "1")
         tune_lambda(cfg)
         assert calls == [(6, 6), (21, 21)] * 3

@@ -13,8 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("script, args, header", [
     ("consistency_check.py", ["--n", "200", "400", "--replications", "3"],
      ["n", "rmse(mu)", "rmse(init)"]),
-    ("sign_recovery_study.py", ["--n", "300", "--p", "5", "--replications", "2", "--pilots", "2"],
-     ["law", "p", "n", "lambda", "recovery_rate", "fp", "/", "fn", "histograms"]),
 ])
 def test_script_runs(script, args, header, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -166,20 +166,24 @@ class TestReplication:
 
 
 class TestTuneLambda:
-    def test_grid_of_size_one(self):
-        cfg = SimConfig(n=1500, p=5, seed=13, grid_size=1, pilot_replications=3)
-        tuned = tune_lambda(cfg)
-        assert tuned.grid.shape == (1,)
-        assert tuned.lam == tuned.grid[0]
-
-    def test_deterministic_coefficients_return_largest_grid_lambda(self):
-        cfg = SimConfig(
-            n=1500, p=5, seed=14, sigma1=np.zeros((4, 4)), pilot_replications=3,
-            grid_size=12,
-        )
+    def test_deterministic_coefficients_pick_the_plateau_centre(self):
+        # Every pilot hits at the top level and two at the next: m = P = 3, so levels with
+        # at least 3 - 1 hits are near-max, and the centre of [0, 1] rounds to 1.
+        cfg = SimConfig(n=1500, p=5, seed=14, sigma1=np.zeros((4, 4)), pilot_replications=3)
         tuned = tune_lambda(cfg)
         assert not tuned.fallback
-        assert tuned.lam == tuned.grid[0]
+        assert tuned.hits[:3].tolist() == [3, 2, 0] and not tuned.hits[3:].any()
+        assert tuned.lam == tuned.grid[1]
+
+    def test_no_hit_picks_the_grid_midpoint(self, monkeypatch):
+        # A walk allowed no breakpoint converges only at lambda_max, where nothing is active.
+        monkeypatch.setattr(estimate, "MAX_BREAKPOINTS", 0)
+        cfg = SimConfig(n=1500, p=5, seed=13, pilot_replications=3)
+        tuned = tune_lambda(cfg)
+        stage = SecondStage.from_data(dgp_sample(cfg, 0, stream=simulate._STREAM_PILOT))
+        lmax = stage.lambda_max()
+        assert tuned.fallback and not tuned.hits.any()
+        assert tuned.lam == np.geomspace(lmax, lmax * 1e-4, 50)[25]
 
     def test_first_pilot_drawn_once(self, monkeypatch):
         calls = []
@@ -190,7 +194,7 @@ class TestTuneLambda:
             return draw(cfg, index, **kwargs)
 
         monkeypatch.setattr(simulate, "dgp_sample", counted)
-        cfg = SimConfig(n=1500, p=5, seed=13, pilot_replications=3, grid_size=8)
+        cfg = SimConfig(n=1500, p=5, seed=13, pilot_replications=3)
         monkeypatch.setenv("RCREG_THREADS", "1")
         serial = tune_lambda(cfg)
         assert sorted(calls) == [(simulate._STREAM_PILOT, i) for i in range(3)]
@@ -203,8 +207,7 @@ class TestTuneLambda:
         cfg = SimConfig(n=2000, p=6, seed=3)
         stage = SecondStage.from_data(dgp_sample(cfg, 0, stream=simulate._STREAM_PILOT))
         target = int(np.count_nonzero(true_moments(cfg)[1][stage.penalize_mask]))
-        lmax = stage.lambda_max()
-        grid = np.geomspace(lmax, lmax * 1e-4, cfg.grid_size)
+        grid = stage.grid()
         stuck = [not s.converged for s in stage.path(grid)]
         hits = simulate._path_hits(stage, grid, target)
         assert any(stuck)
@@ -217,7 +220,7 @@ class TestTuneLambda:
             for law in CovariateLaw:
                 cfg = SimConfig(
                     n=4000, p=6, seed=100 + seed, covariate_law=law,
-                    pilot_replications=25, grid_size=40,
+                    pilot_replications=25,
                 )
                 lams[law].append(tune_lambda(cfg).lam)
         assert np.mean(lams[CovariateLaw.UNIFORM_THREE_POINT]) >= np.mean(
@@ -258,10 +261,7 @@ class TestMonteCarlo:
         monkeypatch.setenv("RCREG_THREADS", "1")
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
-        cfg = SimConfig(
-            n=800, p=5, seed=18, lam=None, replications=2, pilot_replications=3,
-            grid_size=8,
-        )
+        cfg = SimConfig(n=800, p=5, seed=18, lam=None, replications=2, pilot_replications=3)
         report = monte_carlo(cfg)
         assert report.replications == 2 and report.lambda_used > 0.0
 
@@ -270,7 +270,7 @@ class TestMonteCarlo:
         multiprocessing; ``-X importtime`` lists every module the run imported."""
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps({"n": 600, "p": 5, "lambda": "auto", "replications": 2,
-                                   "pilot_replications": 2, "grid_size": 5, "seed": 3}))
+                                   "pilot_replications": 2, "seed": 3}))
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "rcreg", "simulate", "--config", str(cfg),
              "--out", str(tmp_path / "out")],
